@@ -7,7 +7,7 @@ tree so figures of individual trees can be rendered directly.
 from __future__ import annotations
 
 from .axioms import AnalysisReport
-from .forest import AssignmentClass, Subforest, class_key
+from .forest import AssignmentClass, Subforest
 from .formulas import format_formula
 
 
@@ -36,37 +36,42 @@ def class_from_json(obj: object, n: int) -> AssignmentClass:
 
 def subforest_to_json(sub: Subforest) -> dict:
     """Nodes in canonical order with parent links by node id."""
-    members = sub.sorted_members
-    ids = {c: i for i, c in enumerate(members)}
+    forest = sub.forest
+    ids = sub.node_ids()
+    position = {i: k for k, i in enumerate(ids)}
     nodes = []
-    for c in members:
-        parent = c.parent()
+    for k, i in enumerate(ids):
+        c, parent = forest.nodes[i], forest.parent[i]
         entry = class_to_json(c)
-        entry["id"] = ids[c]
+        entry["id"] = k
         entry["label"] = c.chain_string()
-        entry["parent"] = ids[parent] if parent is not None else None
+        entry["parent"] = position[parent] if parent >= 0 else None
         nodes.append(entry)
-    return {"n": sub.forest.n, "count": len(members), "nodes": nodes}
+    return {"n": forest.n, "count": len(ids), "nodes": nodes}
 
 
 def subforest_to_dot(sub: Subforest) -> str:
     """One digraph per tree; nodes are labeled with their chain strings."""
-    members = sub.sorted_members
-    ids = {c: i for i, c in enumerate(members)}
-    by_root: dict[AssignmentClass, list[AssignmentClass]] = {}
-    for c in members:
-        by_root.setdefault(c.root(), []).append(c)
+    forest = sub.forest
+    ids = sub.node_ids()
+    position = {i: k for k, i in enumerate(ids)}
+    # Members are downward closed and in preorder, so each tree is a run
+    # of ids that starts at its root.
+    trees: list[list[int]] = []
+    for i in ids:
+        if forest.parent[i] < 0:
+            trees.append([])
+        trees[-1].append(i)
     lines: list[str] = []
-    for t, root in enumerate(sorted(by_root, key=class_key)):
+    for t, tree in enumerate(trees):
         lines.append(f"digraph tree_{t} {{")
         lines.append("  node [shape=box];")
-        tree_nodes = by_root[root]
-        for c in tree_nodes:
-            lines.append(f'  n{ids[c]} [label="{c.chain_string()}"];')
-        for c in tree_nodes:
-            parent = c.parent()
-            if parent is not None and parent in ids:
-                lines.append(f"  n{ids[parent]} -> n{ids[c]};")
+        for i in tree:
+            lines.append(f'  n{position[i]} [label="{forest.nodes[i].chain_string()}"];')
+        for i in tree:
+            parent = forest.parent[i]
+            if parent >= 0:
+                lines.append(f"  n{position[parent]} -> n{position[i]};")
         lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -7,14 +7,17 @@ These summaries form a finite poset: one class lies below another when it is
 obtained by collapsing a top segment of the other's value chain to 1.  The
 poset is a forest (the ancestors of any node form a chain), its roots are the
 Boolean classes, and its downward-closed subsets carry a Goedel algebra.
+
+A forest is held as flat arrays over node ids numbered in preorder, so every
+subtree is an interval of ids, and a subforest is one int bitmask over those
+ids: meet is `&`, join is `|`, and implication fills subtree intervals.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 #: Enumeration guard: forests grow super-exponentially with n.
@@ -72,12 +75,14 @@ class AssignmentClass:
         """
         if not self.mid:
             return None
-        return AssignmentClass(self.n, self.zero, self.mid[:-1], self.one + self.mid[-1])
+        return _class(
+            self.n, self.zero, self.mid[:-1], tuple(sorted(self.one + self.mid[-1]))
+        )
 
     def root(self) -> "AssignmentClass":
         """The Boolean class at the bottom of this class's tree."""
         merged = self.one + tuple(v for b in self.mid for v in b)
-        return AssignmentClass(self.n, self.zero, (), merged)
+        return _class(self.n, self.zero, (), tuple(sorted(merged)))
 
     def downward_chain(self) -> Iterator["AssignmentClass"]:
         """This class, its parent, and so on down to the root."""
@@ -100,6 +105,14 @@ class AssignmentClass:
 
     def chain_string(self) -> str:
         """Human-readable chain, e.g. "0=X1<X2<1" or "0<X1=X2<1"."""
+        # Cached: forest nodes are shared, so their labels in exports and
+        # reports can be too.
+        label = self.__dict__.get("_chain_string")
+        if label is None:
+            label = self.__dict__["_chain_string"] = self._format_chain()
+        return label
+
+    def _format_chain(self) -> str:
         parts = ["0"]
         blocks: list[tuple[bool, tuple[int, ...]]] = []
         if self.zero:
@@ -192,203 +205,347 @@ def in_truncated_forest(c: AssignmentClass, t: int) -> bool:
     return c.depth <= t - 1
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _flags_to_mask(flags: bytearray) -> int:
+    """Bitmask with bit i set where flags[i] is 1, built in linear time."""
+    return int(flags.translate(_DIGITS)[::-1], 2)
+
+
+def _mask_of(ids: Iterable[int], size: int) -> int:
+    flags = bytearray(size)
+    for i in ids:
+        flags[i] = 1
+    return _flags_to_mask(flags)
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    digits = format(mask, "b")[::-1]
+    ids, i = [], digits.find("1")
+    while i >= 0:
+        ids.append(i)
+        i = digits.find("1", i + 1)
+    return ids
+
+
 class Forest:
-    """All assignment classes over n variables with parent/child links.
+    """All assignment classes over n variables, as flat arrays over node ids.
+
+    Node i is `nodes[i]`.  Ids follow `class_key` order, which is a preorder:
+    `parent[i]` is the id of the node's parent (-1 for a root), `depth[i]`
+    its depth, and its subtree is the id interval [i, end[i]).  A set of
+    nodes is a Python int used as a bitmask, bit i standing for node i; the
+    masks held here are built once per forest, in linear time.
 
     Instances are immutable once built; use :func:`enumerate_forest`.
     """
 
-    def __init__(self, n: int, nodes: Iterable[AssignmentClass]) -> None:
+    def __init__(
+        self,
+        n: int,
+        nodes: Sequence[AssignmentClass],
+        parent: Sequence[int],
+        end: Sequence[int],
+        depth: Sequence[int],
+    ) -> None:
         self.n = n
-        self.nodes: tuple[AssignmentClass, ...] = tuple(sorted(nodes, key=class_key))
-        self.node_set = frozenset(self.nodes)
-        children: dict[AssignmentClass, list[AssignmentClass]] = {
-            c: [] for c in self.nodes
-        }
-        roots: list[AssignmentClass] = []
-        for c in self.nodes:
-            p = c.parent()
-            if p is None:
-                roots.append(c)
-            else:
-                children[p].append(c)
-        self.children: dict[AssignmentClass, tuple[AssignmentClass, ...]] = {
-            c: tuple(sorted(kids, key=class_key)) for c, kids in children.items()
-        }
-        self.roots: tuple[AssignmentClass, ...] = tuple(roots)
+        self.nodes: tuple[AssignmentClass, ...] = tuple(nodes)
+        self.parent = tuple(parent)
+        self.end = tuple(end)
+        self.depth = tuple(depth)
+        size = len(self.nodes)
+        self.full = (1 << size) - 1
+        levels = [bytearray(size) for _ in range(n + 2)]
+        for i, d in enumerate(self.depth):
+            levels[d][i] = 1
+        #: _levels[d] holds the nodes of depth d, _deeper[d] those below it.
+        self._levels = tuple(_flags_to_mask(flags) for flags in levels)
+        deeper, below = [0] * (n + 2), 0
+        for d in range(n + 1, -1, -1):
+            deeper[d] = below
+            below |= self._levels[d]
+        self._deeper = tuple(deeper)
+        generators = [bytearray(size) for _ in range(n)]
+        for i, c in enumerate(self.nodes):
+            for v in c.one:
+                generators[v - 1][i] = 1
+        #: generators[i - 1] holds the classes with Xi at 1.
+        self.generators = tuple(_flags_to_mask(flags) for flags in generators)
+
+    @cached_property
+    def index(self) -> dict[AssignmentClass, int]:
+        """Node id of each class."""
+        return {c: i for i, c in enumerate(self.nodes)}
+
+    @cached_property
+    def node_set(self) -> frozenset[AssignmentClass]:
+        return frozenset(self.nodes)
+
+    @cached_property
+    def children(self) -> dict[AssignmentClass, tuple[AssignmentClass, ...]]:
+        kids: dict[AssignmentClass, list[AssignmentClass]] = {c: [] for c in self.nodes}
+        for c, p in zip(self.nodes, self.parent):
+            if p >= 0:
+                kids[self.nodes[p]].append(c)
+        return {c: tuple(k) for c, k in kids.items()}
+
+    @cached_property
+    def roots(self) -> tuple[AssignmentClass, ...]:
+        return tuple(c for c, p in zip(self.nodes, self.parent) if p < 0)
 
     @property
     def leaves(self) -> tuple[AssignmentClass, ...]:
         return tuple(c for c in self.nodes if is_leaf(c))
 
+    def upset(self, mask: int) -> int:
+        """Nodes lying in the subtree of some node of mask.
+
+        Per depth d, the descendants of a node s at depth d are the run of
+        nodes deeper than d that starts at s + 1.  Adding s + 1 to the mask
+        of those nodes carries through that run and clears it.
+        """
+        up = 0
+        for d in range(1, self.n + 2):
+            s = mask & self._levels[d]
+            if s:
+                t = self._deeper[d]
+                up |= s | (t & ~((s << 1) + t))
+        return up
+
+    def implies(self, a: int, b: int) -> int:
+        """Residuum of two downset masks: the nodes with no ancestor (or
+        self) in a but not in b."""
+        return self.full ^ self.upset(a & ~b)
+
+    def truncation(self, t: int) -> int:
+        """Mask of the height-(t-1) truncation used by t-valued logic."""
+        return self.full ^ self._deeper[min(t - 1, self.n + 1)]
+
     def __len__(self) -> int:
         return len(self.nodes)
 
     def __contains__(self, c: AssignmentClass) -> bool:
-        return c in self.node_set
+        return c in self.index
 
     def __repr__(self) -> str:
         return f"Forest(n={self.n}, nodes={len(self.nodes)})"
 
 
-def _ordered_partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not items:
-        yield ()
-        return
-    for k in range(1, len(items) + 1):
-        for block in itertools.combinations(items, k):
-            chosen = set(block)
-            rest = tuple(x for x in items if x not in chosen)
-            for tail in _ordered_partitions(rest):
-                yield (block,) + tail
+def _class(n: int, zero: tuple, mid: tuple, one: tuple) -> AssignmentClass:
+    """Class from blocks already in canonical form, without validation."""
+    c = object.__new__(AssignmentClass)
+    c.__dict__.update(n=n, zero=zero, mid=mid, one=one)
+    return c
+
+
+def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Nonempty subsets of a sorted tuple, as sorted tuples in lexicographic
+    order."""
+    for k, x in enumerate(items):
+        yield (x,)
+        for tail in _lex_subsets(items[k + 1 :]):
+            yield (x,) + tail
 
 
 @lru_cache(maxsize=None)
 def enumerate_forest(n: int) -> Forest:
-    """Build the full forest over n variables (guarded, n <= 8)."""
+    """Build the full forest over n variables (guarded, n <= 8).
+
+    Trees are emitted in order of their zero blocks and each tree depth
+    first, children in lexicographic order of the block they split off:
+    that is `class_key` order.
+    """
     if not 1 <= n <= MAX_FOREST_VARIABLES:
         raise ValueError(
             f"forest enumeration supports 1 <= n <= {MAX_FOREST_VARIABLES}, got {n}"
         )
     universe = tuple(range(1, n + 1))
+    splits: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     nodes: list[AssignmentClass] = []
-    for m in range(n + 1):
-        for mid_vars in itertools.combinations(universe, m):
-            chosen = set(mid_vars)
-            others = tuple(x for x in universe if x not in chosen)
-            for mid in _ordered_partitions(mid_vars):
-                for z in range(len(others) + 1):
-                    for zero in itertools.combinations(others, z):
-                        one = tuple(x for x in others if x not in set(zero))
-                        nodes.append(AssignmentClass(n, zero, mid, one))
-    return Forest(n, nodes)
+    parent: list[int] = []
+    end: list[int] = []
+    depth: list[int] = []
+
+    def grow(zero: tuple, mid: tuple, one: tuple, up: int) -> None:
+        i = len(nodes)
+        nodes.append(_class(n, zero, mid, one))
+        parent.append(up)
+        end.append(0)
+        depth.append(len(mid) + 1)
+        if one not in splits:
+            splits[one] = [
+                (block, tuple(x for x in one if x not in block))
+                for block in _lex_subsets(one)
+            ]
+        for block, rest in splits[one]:
+            grow(zero, mid + (block,), rest, i)
+        end[i] = len(nodes)
+
+    for zero in ((), *_lex_subsets(universe)):
+        grow(zero, (), tuple(x for x in universe if x not in zero), -1)
+    return Forest(n, nodes, parent, end, depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Subforest:
-    """Downward-closed set of classes in an ambient forest.
+    """Downward-closed set of classes in an ambient forest, held as one
+    bitmask over the forest's node ids.
 
-    Subforests form a Goedel algebra: meet is intersection, join is union,
-    and implication keeps the nodes whose chain satisfies the pointwise
-    inclusion test.  Construction verifies downward closure.
+    Subforests form a Goedel algebra: meet is `&`, join is `|`, and
+    implication keeps the nodes with no ancestor (or self) in A but not in
+    B.  The constructor validates its member set; the operations build their
+    results from masks without revalidating them.
     """
 
     forest: Forest
-    members: frozenset[AssignmentClass]
+    mask: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
-        for c in self.members:
-            if c not in self.forest.node_set:
+    def __init__(self, forest: Forest, members: Iterable[AssignmentClass]) -> None:
+        index = forest.index
+        ids = []
+        for c in members:
+            i = index.get(c)
+            if i is None:
                 raise ValueError(f"class {c} is not a node of the ambient forest")
-            p = c.parent()
-            if p is not None and p not in self.members:
-                raise ValueError(f"member set is not downward closed at {c}")
+            ids.append(i)
+        mask = _mask_of(ids, len(forest))
+        # A member below a non-member; the lowest one's parent is missing.
+        open_ = mask & forest.upset(forest.full ^ mask)
+        if open_:
+            c = forest.nodes[(open_ & -open_).bit_length() - 1]
+            raise ValueError(f"member set is not downward closed at {c}")
+        object.__setattr__(self, "forest", forest)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def _from_mask(cls, forest: Forest, mask: int) -> "Subforest":
+        """Wrap a mask already known to be a downset of forest."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "forest", forest)
+        object.__setattr__(sub, "mask", mask)
+        return sub
 
     def _check_ambient(self, other: "Subforest") -> None:
         if self.forest is not other.forest:
             raise ValueError("subforests live in different ambient forests")
 
+    def node_ids(self) -> list[int]:
+        """Ids of the members, ascending (canonical order)."""
+        return _bits(self.mask)
+
+    @property
+    def members(self) -> frozenset[AssignmentClass]:
+        nodes = self.forest.nodes
+        return frozenset(nodes[i] for i in self.node_ids())
+
     @property
     def sorted_members(self) -> tuple[AssignmentClass, ...]:
-        return tuple(sorted(self.members, key=class_key))
+        nodes = self.forest.nodes
+        return tuple(nodes[i] for i in self.node_ids())
 
     def leaves(self) -> tuple[AssignmentClass, ...]:
         """Maximal elements, in canonical order."""
+        # In preorder a member has a member child iff the next member is
+        # deeper than it.
+        nodes, depth = self.forest.nodes, self.forest.depth
+        ids = self.node_ids()
         return tuple(
-            c
-            for c in self.sorted_members
-            if not any(k in self.members for k in self.forest.children[c])
+            nodes[i]
+            for i, j in zip(ids, ids[1:] + [-1])
+            if j < 0 or depth[j] <= depth[i]
         )
 
     def meet(self, other: "Subforest") -> "Subforest":
         self._check_ambient(other)
-        return Subforest(self.forest, self.members & other.members)
+        return Subforest._from_mask(self.forest, self.mask & other.mask)
 
     def join(self, other: "Subforest") -> "Subforest":
         self._check_ambient(other)
-        return Subforest(self.forest, self.members | other.members)
+        return Subforest._from_mask(self.forest, self.mask | other.mask)
 
     def implies(self, other: "Subforest") -> "Subforest":
         self._check_ambient(other)
-        keep = frozenset(
-            q
-            for q in self.forest.nodes
-            if all(c not in self.members or c in other.members
-                   for c in q.downward_chain())
+        return Subforest._from_mask(
+            self.forest, self.forest.implies(self.mask, other.mask)
         )
-        return Subforest(self.forest, keep)
 
     def negate(self) -> "Subforest":
         return self.implies(empty_subforest(self.forest))
 
     def issubset(self, other: "Subforest") -> bool:
         self._check_ambient(other)
-        return self.members <= other.members
+        return not self.mask & ~other.mask
 
     def is_full(self) -> bool:
-        return len(self.members) == len(self.forest.nodes)
+        return self.mask == self.forest.full
 
     def __contains__(self, c: AssignmentClass) -> bool:
-        return c in self.members
+        i = self.forest.index.get(c)
+        return i is not None and bool(self.mask >> i & 1)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __repr__(self) -> str:
-        return f"Subforest(n={self.forest.n}, members={len(self.members)})"
+        return f"Subforest(n={self.forest.n}, members={len(self)})"
 
 
 def downset(forest: Forest, seeds: Iterable[AssignmentClass]) -> Subforest:
     """Smallest downward-closed superset of the seeds."""
-    members: set[AssignmentClass] = set()
+    index, parent = forest.index, forest.parent
+    flags = bytearray(len(forest))
     for seed in seeds:
-        if seed not in forest.node_set:
+        i = index.get(seed)
+        if i is None:
             raise ValueError(f"class {seed} is not a node of the forest")
-        for c in seed.downward_chain():
-            if c in members:
-                break
-            members.add(c)
-    return Subforest(forest, frozenset(members))
+        while i >= 0 and not flags[i]:
+            flags[i] = 1
+            i = parent[i]
+    return Subforest._from_mask(forest, _flags_to_mask(flags))
+
+
+def _where(forest: Forest, keep) -> Subforest:
+    """Subforest of the nodes satisfying a downward-closed predicate."""
+    return Subforest._from_mask(
+        forest, _mask_of((i for i, c in enumerate(forest.nodes) if keep(c)), len(forest))
+    )
 
 
 def empty_subforest(forest: Forest) -> Subforest:
-    return Subforest(forest, frozenset())
+    return Subforest._from_mask(forest, 0)
 
 
 def full_subforest(forest: Forest) -> Subforest:
-    return Subforest(forest, forest.node_set)
+    return Subforest._from_mask(forest, forest.full)
 
 
 def ruspini_subforest(forest: Forest) -> Subforest:
-    return Subforest(
-        forest, frozenset(c for c in forest.nodes if in_ruspini_forest(c))
-    )
+    return _where(forest, in_ruspini_forest)
 
 
 def two_overlap_subforest(forest: Forest) -> Subforest:
-    return Subforest(
-        forest, frozenset(c for c in forest.nodes if in_two_overlap_forest(c))
-    )
+    return _where(forest, in_two_overlap_forest)
 
 
 def truncated_subforest(forest: Forest, t: int) -> Subforest:
-    return Subforest(
-        forest, frozenset(c for c in forest.nodes if in_truncated_forest(c, t))
-    )
+    if t < 2:
+        raise ValueError(f"a finite-valued logic needs t >= 2, got {t}")
+    return Subforest._from_mask(forest, forest.truncation(t))
 
 
 def generating_subforest(i: int, forest: Forest) -> Subforest:
     """Classes with Xi at value 1; the i-th free generator of the algebra."""
     if not 1 <= i <= forest.n:
         raise ValueError(f"variable index {i} out of range 1..{forest.n}")
-    return Subforest(forest, frozenset(c for c in forest.nodes if i in c.one))
+    return Subforest._from_mask(forest, forest.generators[i - 1])
 
 
 def is_ruspini_subforest(sub: Subforest) -> bool:
     """Nonempty, inside the Ruspini forest, with every maximal element a
     maximal element of the Ruspini forest."""
-    if not sub.members:
+    if not sub.mask:
         return False
     if not all(in_ruspini_forest(c) for c in sub.members):
         return False

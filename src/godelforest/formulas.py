@@ -84,17 +84,21 @@ class Lhd(Formula):
 
 def arity(f: Formula) -> int:
     """Largest variable index occurring in f (0 for variable-free formulas)."""
-    match f:
-        case Var(index=i):
-            return i
-        case Bot() | Top():
-            return 0
-        case Not(child=c):
-            return arity(c)
-        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r) \
-                | Iff(left=l, right=r) | Lhd(left=l, right=r):
-            return max(arity(l), arity(r))
-    raise TypeError(f"not a formula: {f!r}")
+    result, stack = 0, [f]
+    while stack:
+        match stack.pop():
+            case Var(index=i):
+                result = max(result, i)
+            case Bot() | Top():
+                pass
+            case Not(child=c):
+                stack.append(c)
+            case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r) \
+                    | Iff(left=l, right=r) | Lhd(left=l, right=r):
+                stack += (l, r)
+            case node:
+                raise TypeError(f"not a formula: {node!r}")
+    return result
 
 
 def expand_derived(f: Formula) -> Formula:
@@ -317,11 +321,14 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "not":
+        negations = 0
+        while self.peek().kind == "not":
             self.advance()
-            return Not(self.unary())
-        return self.atom()
+            negations += 1
+        f = self.atom()
+        for _ in range(negations):
+            f = Not(f)
+        return f
 
     def atom(self) -> Formula:
         tok = self.advance()

@@ -34,7 +34,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"not an exact rational: {value!r}")
 
 
@@ -144,6 +147,17 @@ def partition_from_json(obj: object) -> Partition:
     if "sets" not in obj or not isinstance(obj["sets"], list):
         raise ValueError("partition JSON needs a 'sets' list")
     sets = []
+    # Partitions repeat most of their rationals (shared abscissae, 0 and 1
+    # values): each distinct text is parsed once, into one shared Fraction.
+    parsed: dict[str, Fraction] = {}
+
+    def rational(value: object) -> Fraction:
+        if not isinstance(value, str):
+            return as_fraction(value)
+        if value not in parsed:
+            parsed[value] = as_fraction(value)
+        return parsed[value]
+
     for k, entry in enumerate(obj["sets"]):
         if not isinstance(entry, dict):
             raise ValueError(f"set {k}: must be an object")
@@ -158,8 +172,8 @@ def partition_from_json(obj: object) -> Partition:
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
                 raise ValueError(f"set {name!r}, point {j}: expected a [x, y] pair")
             try:
-                points.append((as_fraction(pair[0]), as_fraction(pair[1])))
-            except (ValueError, ZeroDivisionError) as exc:
+                points.append((rational(pair[0]), rational(pair[1])))
+            except ValueError as exc:
                 raise ValueError(f"set {name!r}, point {j}: {exc}") from exc
         sets.append(PiecewiseLinearFuzzySet(name, tuple(points)))
     partition = Partition(tuple(sets))

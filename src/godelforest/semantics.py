@@ -14,13 +14,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .formulas import Formula, arity, eval_formula
-from .forest import (
-    Forest,
-    Subforest,
-    enumerate_forest,
-    truncated_subforest,
+from .formulas import (
+    And,
+    Bot,
+    Formula,
+    Iff,
+    Implies,
+    Lhd,
+    Not,
+    Or,
+    Top,
+    Var,
+    arity,
+    eval_formula,
 )
+from .forest import Forest, Subforest, enumerate_forest
 
 #: Assignments the grid oracle is willing to enumerate.
 GRID_ORACLE_BUDGET = 10**6
@@ -64,18 +72,65 @@ def parse_logic(text: str) -> Logic:
 def formula_forest(f: Formula, forest: Forest) -> Subforest:
     """Subforest of classes where f takes value 1.
 
-    Value-1 status is class-invariant, so evaluating the canonical witness of
-    each class suffices.  The Subforest constructor re-checks that the result
-    is downward closed, which would catch a bad witness rule.
+    Built compositionally from the generators: meet is `&`, join is `|` and
+    implication is the subforest residuum, in one post-order pass over f.
+    Shared subformula objects are evaluated once.
     """
-    if arity(f) > forest.n:
-        raise ValueError(
-            f"formula uses X{arity(f)} but the forest has {forest.n} variables"
-        )
-    members = frozenset(
-        c for c in forest.nodes if eval_formula(f, c.representative()) == 1
-    )
-    return Subforest(forest, members)
+    return Subforest._from_mask(forest, _value_one_mask(f, forest))
+
+
+def _value_one_mask(f: Formula, forest: Forest) -> int:
+    full, implies = forest.full, forest.implies
+    # Keyed by id(): hashing a frozen dataclass node would recurse into it.
+    masks: dict[int, int] = {}
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if id(node) in masks:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Var:
+            if node.index > forest.n:
+                raise ValueError(
+                    f"formula uses X{arity(f)} but the forest has {forest.n} variables"
+                )
+            mask = forest.generators[node.index - 1]
+        elif kind is Bot:
+            mask = 0
+        elif kind is Top:
+            mask = full
+        elif kind is Not:
+            if id(node.child) not in masks:
+                stack.append(node.child)
+                continue
+            mask = full ^ forest.upset(masks[id(node.child)])
+        elif kind in (And, Or, Implies, Iff, Lhd):
+            pending = [c for c in (node.left, node.right) if id(c) not in masks]
+            if pending:
+                stack.extend(pending)
+                continue
+            a, b = masks[id(node.left)], masks[id(node.right)]
+            if kind is And:
+                mask = a & b
+            elif kind is Or:
+                mask = a | b
+            elif kind is Implies:
+                mask = implies(a, b)
+            elif kind is Iff:
+                mask = implies(a, b) & implies(b, a)
+            else:
+                mask = implies(implies(b, a), b)
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        masks[id(node)] = mask
+        stack.pop()
+    return masks[id(f)]
+
+
+def _region(forest: Forest, logic: Logic) -> int:
+    """Mask of the classes a logic's verdicts range over."""
+    return forest.full if logic.t is None else forest.truncation(logic.t)
 
 
 def is_tautology(f: Formula, n: int, logic: Logic = GINF) -> bool:
@@ -87,10 +142,8 @@ def is_tautology(f: Formula, n: int, logic: Logic = GINF) -> bool:
     if arity(f) > n:
         raise ValueError(f"formula uses X{arity(f)} but n is {n}")
     forest = enumerate_forest(n)
-    ff = formula_forest(f, forest)
-    if logic.t is None:
-        return ff.is_full()
-    return truncated_subforest(forest, logic.t).issubset(ff)
+    region = _region(forest, logic)
+    return formula_forest(f, forest).mask & region == region
 
 
 def grid_tautology_oracle(f: Formula, n: int, t: int) -> bool:
@@ -114,18 +167,12 @@ def grid_tautology_oracle(f: Formula, n: int, t: int) -> bool:
     )
 
 
-def _restricted(sub: Subforest, logic: Logic) -> frozenset:
-    if logic.t is None:
-        return sub.members
-    return sub.members & truncated_subforest(sub.forest, logic.t).members
-
-
 def proves_equiv(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:
     """Provable equivalence: the two value-1 subforests coincide on the
     forest relevant to the logic."""
     forest = enumerate_forest(n)
     fa, fb = formula_forest(a, forest), formula_forest(b, forest)
-    return _restricted(fa, logic) == _restricted(fb, logic)
+    return not (fa.mask ^ fb.mask) & _region(forest, logic)
 
 
 def proves_implies(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:
@@ -133,4 +180,4 @@ def proves_implies(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:
     forest."""
     forest = enumerate_forest(n)
     fa, fb = formula_forest(a, forest), formula_forest(b, forest)
-    return _restricted(fa, logic) <= _restricted(fb, logic)
+    return not fa.mask & ~fb.mask & _region(forest, logic)

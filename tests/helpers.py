@@ -1,4 +1,5 @@
-"""Shared test utilities: builders, random generators, brute-force oracles."""
+"""Shared test utilities: builders, random generators, brute-force oracles,
+and the per-node references the bitmask forest kernel is tested against."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from godelforest import (
     conjunction,
     disjunction,
     downset,
+    eval_formula,
     ruspini_subforest,
 )
 
@@ -120,3 +122,22 @@ def lin_instance(t: int) -> Formula:
     for j in range(2, t + 1):
         terms.append(Implies(conjunction([Var(i) for i in range(1, j)]), Var(j)))
     return disjunction(terms)
+
+
+def reference_formula_forest(f: Formula, forest: Forest) -> frozenset[AssignmentClass]:
+    """Value-1 set of f, found by evaluating f on each class's canonical
+    witness (value-1 status is class-invariant)."""
+    return frozenset(
+        c for c in forest.nodes if eval_formula(f, c.representative()) == 1
+    )
+
+
+def reference_implies(a: Subforest, b: Subforest) -> frozenset[AssignmentClass]:
+    """Residuum by its definition: the classes whose downward chain meets a
+    only inside b."""
+    am, bm = a.members, b.members
+    return frozenset(
+        q
+        for q in a.forest.nodes
+        if all(c not in am or c in bm for c in q.downward_chain())
+    )

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import pathlib
+
+import pytest
 
 from godelforest import (
     enumerate_forest,
@@ -200,6 +203,55 @@ def test_synthesize_rejects_bad_leaves(tmp_path, capsys):
     code, _, err = run(capsys, "synthesize", str(bad), "--n", "2", "-o",
                        str(tmp_path / "out.json"))
     assert code == 1 and "Ruspini" in err
+
+
+def test_taut_deep_negation_chain(capsys):
+    code, out, err = run(capsys, "taut", "--n", "1", "~" * 3000 + "X1")
+    assert (code, out, err) == (0, "not a tautology\n", "")
+
+
+def test_taut_long_disjunction_chain(capsys):
+    chain = " | ".join(["(X1 -> X2)", "(X2 -> X1)"] * 550)
+    code, out, err = run(capsys, "taut", "--n", "2", chain)
+    assert (code, out, err) == (0, "tautology\n", "")
+
+
+def test_classify_zero_denominator_is_a_clean_error(capsys):
+    code, out, err = run(capsys, "classify", "--values", "1/0")
+    assert (code, out) == (1, "")
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+# SHA-256 of each command's output before the forest kernel moved to
+# preorder bitmasks; paths are relative to data/.
+GOLDEN_DIGESTS = {
+    "forest --n 4 --kind fn --format json":
+        "7c69fab9387ccfda94d9a77fdb25fe46466d4f72018e7e8bd522f2031d904e62",
+    "forest --n 4 --kind fn --format dot":
+        "6c0a773ba3a39bee41ac535bfc3f109ad3ab70672faab2226446a8220c9bf6e7",
+    "forest --n 4 --kind rn --format json":
+        "3bd92f82370ec0053e2c0ca307e33ed00b3b26f65476edb50627816be870215a",
+    "forest --n 4 --kind rn --format dot":
+        "05d733e6a80193a3297bb9fa2d724565e39b6851199a093d4f24957dfdb419fd",
+    "forest --n 4 --kind tn --format json":
+        "1ed3be6fa4f3b02f41eed459fd78d385d43e63415e866efc3ce1f664ee2698a9",
+    "forest --n 4 --kind tn --format dot":
+        "6c42609622bf8d2e875670a76f648784fb8afcc13c2c434ec9e755505b1d752d",
+    "forest --n 4 --kind fnt --t 3 --format json":
+        "8ade96a3792f0b3002c35ff93e1a3a33cdf9214737b177f147e43375af3a5bad",
+    "forest --n 4 --kind fnt --t 3 --format dot":
+        "1274c03c8fedd9f0970e5d8d8237da13687a345b813fd82a7d244e665d9436bd",
+    "analyze --json partitions/triangular_triple.json":
+        "7bcafafc3c7cd53b180d0913e2e93cc7c0277ec59f5608835da5234b1a6919cd",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_DIGESTS)
+def test_exports_are_byte_stable(capsys, monkeypatch, command):
+    monkeypatch.chdir(DATA)
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[command]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -26,8 +26,16 @@ from godelforest import (
     two_overlap_subforest,
     Subforest,
     Var,
+    class_key,
 )
-from helpers import cls, fr, grid_classes, literal_leq, random_subforest
+from helpers import (
+    cls,
+    fr,
+    grid_classes,
+    literal_leq,
+    random_subforest,
+    reference_implies,
+)
 
 
 def test_class_of_values_examples():
@@ -154,6 +162,19 @@ def test_enumerate_guard():
         enumerate_forest(0)
     with pytest.raises(ValueError):
         enumerate_forest(9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_forest_arrays_are_the_class_key_preorder(n):
+    forest = enumerate_forest(n)
+    nodes = forest.nodes
+    assert list(nodes) == sorted(nodes, key=class_key)
+    for i, c in enumerate(nodes):
+        p = c.parent()
+        assert forest.parent[i] == (-1 if p is None else nodes.index(p))
+        assert forest.depth[i] == c.depth
+        subtree = [j for j, d in enumerate(nodes) if leq(c, d)]
+        assert subtree == list(range(i, forest.end[i]))
 
 
 def test_depth_examples():
@@ -293,6 +314,34 @@ def test_prelinearity_and_closure_on_random_subforests():
             assert a.implies(b).join(b.implies(a)).members == full.members
             assert a.meet(b).members == a.members & b.members
             assert a.join(b).members == a.members | b.members
+
+
+def test_implies_matches_the_downward_chain_definition():
+    rng = random.Random(4141)
+    for n in (1, 2, 3, 4):
+        forest = enumerate_forest(n)
+        for _ in range(30):
+            a = random_subforest(rng, forest)
+            b = random_subforest(rng, forest)
+            assert a.implies(b).members == reference_implies(a, b), (n, a, b)
+            assert set(a.leaves()) == {
+                c for c in a.members
+                if not any(k in a.members for k in forest.children[c])
+            }
+
+
+def test_constructor_accepts_exactly_the_downsets():
+    rng = random.Random(2718)
+    for n in (1, 2, 3):
+        nodes = enumerate_forest(n).nodes
+        for _ in range(200):
+            chosen = frozenset(rng.sample(nodes, rng.randint(0, len(nodes))))
+            closed = all(c.parent() is None or c.parent() in chosen for c in chosen)
+            if closed:
+                assert Subforest(enumerate_forest(n), chosen).members == chosen
+            else:
+                with pytest.raises(ValueError, match="not downward closed"):
+                    Subforest(enumerate_forest(n), chosen)
 
 
 def test_generating_subforests():

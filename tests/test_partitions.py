@@ -274,6 +274,16 @@ def test_json_roundtrip(complementary_pair):
     assert partition_to_json(again) == obj
 
 
+def test_json_equal_rationals_share_one_object():
+    p = partition_from_json({"sets": [
+        {"points": [["0", "1"], ["1/2", "0"], ["1", "0"]]},
+        {"points": [["0", "0"], ["1/2", "1"], ["1", "1"]]},
+    ]})
+    (a, b) = p.sets
+    assert a.points[1][0] is b.points[1][0] == Fraction(1, 2)
+    assert a.points[0][1] is b.points[2][1] is a.points[2][0]
+
+
 def test_json_validation_messages():
     with pytest.raises(ValueError, match="'sets'"):
         partition_from_json({"n": 1})

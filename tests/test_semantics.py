@@ -21,9 +21,12 @@ from godelforest import (
     parse_logic,
     proves_equiv,
     proves_implies,
+    overlap_axiom,
+    ruspini_axiom,
     truncated_subforest,
+    Subforest,
 )
-from helpers import lin_instance, random_formula, random_witness
+from helpers import lin_instance, random_formula, random_witness, reference_formula_forest
 
 
 def test_logic_parsing():
@@ -120,6 +123,26 @@ def test_compositionality_on_forests():
                 == fa.implies(fb).members
             )
             assert formula_forest(Not(a), forest).members == fa.negate().members
+
+
+@pytest.mark.parametrize("n,count,depth", [(1, 40, 5), (2, 40, 5), (3, 40, 5),
+                                             (4, 25, 5), (5, 8, 4)])
+def test_formula_forest_matches_the_per_node_reference(n, count, depth):
+    rng = random.Random(1000 + n)
+    forest = enumerate_forest(n)
+    for _ in range(count):
+        f = random_formula(rng, n, depth)
+        # The public constructor also checks that the reference is a downset.
+        assert formula_forest(f, forest) == Subforest(
+            forest, reference_formula_forest(f, forest)
+        ), f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stock_axioms_match_the_per_node_reference(n):
+    forest = enumerate_forest(n)
+    for f in (ruspini_axiom(n), overlap_axiom(n)):
+        assert formula_forest(f, forest).members == reference_formula_forest(f, forest)
 
 
 def test_value_one_status_is_class_invariant():
