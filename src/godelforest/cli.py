@@ -167,11 +167,24 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.kind == "leaves":
-        print(count_leaves(args.n))
+        count = count_leaves(args.n)
     elif args.kind == "weak-ruspini":
-        print(count_weak_ruspini(args.n))
+        count = count_weak_ruspini(args.n)
     else:
-        print(count_2overlap_weak_ruspini(args.n))
+        count = count_2overlap_weak_ruspini(args.n)
+    # Counts are printed in full, past Python's default limit on the digits
+    # of an int-to-str conversion (4,300); the limit is restored after.
+    # Pythons before 3.10.7 have no such limit and no way to query it.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        print(count)
+        return 0
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -123,6 +123,35 @@ def expand_derived(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+_BINARY_KINDS = (And, Or, Implies, Iff, Lhd)
+
+
+def postorder(f: Formula) -> list[Formula]:
+    """The distinct node objects of f, each after its children, left
+    subtrees before right ones.  Iterative, so any depth is fine; a node
+    object shared by several parents appears once."""
+    order: list[Formula] = []
+    done: set[int] = set()  # id()s: hashing a frozen node would recurse into it
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in done:
+            continue
+        if expanded:
+            done.add(id(node))
+            order.append(node)
+            continue
+        stack.append((node, True))
+        kind = type(node)
+        if kind is Not:
+            stack.append((node.child, False))
+        elif kind in _BINARY_KINDS:
+            stack += ((node.right, False), (node.left, False))
+        elif kind not in (Var, Bot, Top):
+            raise TypeError(f"not a formula: {node!r}")
+    return order
+
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -131,39 +160,41 @@ def _residuum(a: Fraction, b: Fraction) -> Fraction:
     return _ONE if a <= b else b
 
 
+_BINARY_VALUE = {
+    And: min,
+    Or: max,
+    Implies: _residuum,
+    Iff: lambda a, b: min(_residuum(a, b), _residuum(b, a)),
+    Lhd: lambda a, b: _residuum(_residuum(b, a), b),
+}
+
+
 def eval_formula(f: Formula, values: Sequence[Fraction]) -> Fraction:
     """Value of f when Xi takes values[i-1], under Goedel semantics.
 
     & is min, | is max, -> is the residuum (1 when left <= right, else the
     right value), ~a is a -> 0.  The derived connectives evaluate through
-    their expansions.
+    their expansions.  One pass over postorder(f), so any depth is fine.
     """
-    match f:
-        case Var(index=i):
-            if i > len(values):
+    value: dict[int, Fraction] = {}
+    for node in postorder(f):
+        kind = type(node)
+        if kind is Var:
+            if node.index > len(values):
                 raise ValueError(
-                    f"formula uses X{i} but the assignment has {len(values)} values"
+                    f"formula uses X{node.index} but the assignment has {len(values)} values"
                 )
-            return values[i - 1]
-        case Bot():
-            return _ZERO
-        case Top():
-            return _ONE
-        case Not(child=c):
-            return _residuum(eval_formula(c, values), _ZERO)
-        case And(left=l, right=r):
-            return min(eval_formula(l, values), eval_formula(r, values))
-        case Or(left=l, right=r):
-            return max(eval_formula(l, values), eval_formula(r, values))
-        case Implies(left=l, right=r):
-            return _residuum(eval_formula(l, values), eval_formula(r, values))
-        case Iff(left=l, right=r):
-            a, b = eval_formula(l, values), eval_formula(r, values)
-            return min(_residuum(a, b), _residuum(b, a))
-        case Lhd(left=l, right=r):
-            a, b = eval_formula(l, values), eval_formula(r, values)
-            return _residuum(_residuum(b, a), b)
-    raise TypeError(f"not a formula: {f!r}")
+            v = values[node.index - 1]
+        elif kind is Bot:
+            v = _ZERO
+        elif kind is Top:
+            v = _ONE
+        elif kind is Not:
+            v = _residuum(value[id(node.child)], _ZERO)
+        else:
+            v = _BINARY_VALUE[kind](value[id(node.left)], value[id(node.right)])
+        value[id(node)] = v
+    return value[id(f)]
 
 
 class ParseError(ValueError):

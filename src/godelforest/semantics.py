@@ -3,15 +3,16 @@
 A formula over n variables carves out the subforest of classes on whose
 witnesses it takes value 1.  Tautology in the infinite-valued logic (at a
 stated variable bound) means that subforest is the whole forest; tautology in
-the t-valued logic means it covers the height-(t-1) truncation.  A brute-force
-grid evaluator over the t-valued truth set serves as an independent oracle.
+the t-valued logic means it covers the height-(t-1) truncation.  An
+exhaustive evaluation over the t-valued grid, on packed level words and with
+no forest code, serves as an independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .formulas import (
@@ -26,7 +27,7 @@ from .formulas import (
     Top,
     Var,
     arity,
-    eval_formula,
+    postorder,
 )
 from .forest import Forest, Subforest, enumerate_forest
 
@@ -81,14 +82,8 @@ def formula_forest(f: Formula, forest: Forest) -> Subforest:
 
 def _value_one_mask(f: Formula, forest: Forest) -> int:
     full, implies = forest.full, forest.implies
-    # Keyed by id(): hashing a frozen dataclass node would recurse into it.
     masks: dict[int, int] = {}
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if id(node) in masks:
-            stack.pop()
-            continue
+    for node in postorder(f):
         kind = type(node)
         if kind is Var:
             if node.index > forest.n:
@@ -101,15 +96,8 @@ def _value_one_mask(f: Formula, forest: Forest) -> int:
         elif kind is Top:
             mask = full
         elif kind is Not:
-            if id(node.child) not in masks:
-                stack.append(node.child)
-                continue
             mask = full ^ forest.upset(masks[id(node.child)])
-        elif kind in (And, Or, Implies, Iff, Lhd):
-            pending = [c for c in (node.left, node.right) if id(c) not in masks]
-            if pending:
-                stack.extend(pending)
-                continue
+        else:
             a, b = masks[id(node.left)], masks[id(node.right)]
             if kind is And:
                 mask = a & b
@@ -121,10 +109,7 @@ def _value_one_mask(f: Formula, forest: Forest) -> int:
                 mask = implies(a, b) & implies(b, a)
             else:
                 mask = implies(implies(b, a), b)
-        else:
-            raise TypeError(f"not a formula: {node!r}")
         masks[id(node)] = mask
-        stack.pop()
     return masks[id(f)]
 
 
@@ -151,6 +136,13 @@ def grid_tautology_oracle(f: Formula, n: int, t: int) -> bool:
 
     Independent of the forest machinery; exists for cross-validation, not
     scale, hence the t**n budget.
+
+    Goedel connectives depend only on the order of values, so the value
+    k/(t-1) is handled as its level k.  The grid is cut into blocks of at
+    most _GRID_BLOCK points, in itertools.product order, and each formula
+    node's levels at all points of a block are packed into one int, one
+    field per point (see _grid_value).  The first failing block ends the
+    check.
     """
     if t < 2:
         raise ValueError(f"a finite-valued logic needs t >= 2, got {t}")
@@ -160,11 +152,165 @@ def grid_tautology_oracle(f: Formula, n: int, t: int) -> bool:
         raise ValueError(
             f"grid of {t}**{n} assignments exceeds the budget of {GRID_ORACLE_BUDGET}"
         )
-    levels = [Fraction(k, t - 1) for k in range(t)]
+    if n == 0:  # a variable-free formula takes 0 or 1, whatever t is
+        n, t = 1, 2
+    program = _grid_program(f)
     return all(
-        eval_formula(f, values) == 1
-        for values in itertools.product(levels, repeat=n)
+        _grid_value(program, words, frame) == frame.top
+        for words, frame in _grid_blocks(n, t)
     )
+
+
+#: Grid points the oracle evaluates at once.  A formula node's value on a
+#: block is one int of at most this many fields; within the budget a field
+#: takes at most 3 bytes (t <= 10**6 once n >= 1), so at most 12 KB.
+_GRID_BLOCK = 1 << 12
+
+
+class _GridFrame:
+    """What every block with the same number of points shares."""
+
+    __slots__ = ("ones", "top", "shift", "high", "stair", "inner")
+
+    def __init__(self, ones: int, wb: int, t: int, stair: int, inner: tuple[int, ...]):
+        self.ones = ones  # level 1 in every field
+        self.top = (t - 1) * ones  # level t - 1 in every field
+        self.shift = 8 * wb - 1  # the place of the spare top bit in a field
+        self.high = ones << self.shift  # the spare bit of every field
+        self.stair = stair  # chunk variable: levels 0, 1, ..., one per inner sweep
+        self.inner = inner  # the inner variables' words, in variable order
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_layout(n: int, t: int) -> tuple[int, int, dict[int, _GridFrame]]:
+    """How the t**n grid (n >= 1) is cut into blocks: (inner, chunk, frames).
+
+    The last `inner` variables run through all their levels in every block.
+    The variable before them, the chunk variable, takes `chunk` consecutive
+    levels per block (the last chunk may be shorter), and the variables
+    before it are constant within a block.  `frames` maps a chunk length to
+    what its blocks share.
+    """
+    # Whole bytes per field, with a spare top bit for the comparisons.
+    wb = (t - 1).bit_length() // 8 + 1
+    inner = 0
+    while inner < n - 1 and t ** (inner + 1) <= _GRID_BLOCK:
+        inner += 1
+    sweep = t**inner
+    chunk = min(t, _GRID_BLOCK // sweep)
+    frames = {}
+    for length in {chunk, t % chunk or chunk}:
+        points = length * sweep
+        frames[length] = _GridFrame(
+            _repeat(1, wb, points), wb, t,
+            stair=_staircase(length, sweep, wb),
+            # Variable X(n-j) holds each level for t**j points, in periods
+            # of t**(j+1) points that divide the block.
+            inner=tuple(
+                _repeat(_staircase(t, t**j, wb), wb * t ** (j + 1), points // t ** (j + 1))
+                for j in reversed(range(inner))
+            ),
+        )
+    return inner, chunk, frames
+
+
+def _grid_blocks(n: int, t: int):
+    """Yield (words, frame) for each block of the t**n grid (n >= 1), in
+    itertools.product order; words[i] packs X(i+1)'s levels."""
+    inner, chunk, frames = _grid_layout(n, t)
+    for head in itertools.product(range(t), repeat=n - 1 - inner):
+        for start in range(0, t, chunk):
+            frame = frames[min(chunk, t - start)]
+            words = [level * frame.ones for level in head]
+            words.append(frame.stair + start * frame.ones)
+            words += frame.inner
+            yield words, frame
+
+
+def _repeat(word: int, nbytes: int, times: int) -> int:
+    """`times` copies of the nbytes-byte word, side by side."""
+    return int.from_bytes(word.to_bytes(nbytes, "little") * times, "little")
+
+
+def _staircase(count: int, run: int, wb: int) -> int:
+    """Fields of wb bytes holding level 0 run times, then level 1 run times,
+    ..., up to level count - 1; built by doubling, not field by field."""
+    word, have, width = 0, 1, 8 * wb * run
+    for bit in bin(count)[3:]:
+        word |= (word + have * _repeat(1, wb, have * run)) << (width * have)
+        have *= 2
+        if bit == "1":
+            word |= _repeat(have, wb, run) << (width * have)
+            have += 1
+    return word
+
+
+def _grid_program(f: Formula) -> list[tuple[type, tuple[int, ...], list[int]]]:
+    """f as straight-line code: one (kind, operands, released) step per
+    distinct node, in post-order.  Operands are variable numbers for Var and
+    earlier step numbers otherwise; `released` lists the steps whose value is
+    last read here, so a block's live values stay few."""
+    nodes = postorder(f)
+    step = {id(node): k for k, node in enumerate(nodes)}
+    program = []
+    for node in nodes:
+        kind = type(node)
+        if kind is Var:
+            args = (node.index - 1,)
+        elif kind is Not:
+            args = (step[id(node.child)],)
+        elif kind is Bot or kind is Top:
+            args = ()
+        else:
+            args = (step[id(node.left)], step[id(node.right)])
+        program.append((kind, args, []))
+    last_read = {
+        s: k for k, (kind, args, _) in enumerate(program) if kind is not Var for s in args
+    }
+    for s, k in last_read.items():
+        program[k][2].append(s)
+    return program
+
+
+def _grid_value(program, words: list[int], frame: _GridFrame) -> int:
+    """Run the program on one block, where words[i] packs X(i+1)'s levels,
+    and return the formula's packed levels."""
+    high, shift, top = frame.high, frame.shift, frame.top
+
+    def le(a: int, b: int) -> int:
+        # Low bits set in every field where a <= b: the subtraction borrows
+        # a field's spare bit exactly when a > b, and never crosses fields.
+        d = ((b | high) - a) & high
+        return d - (d >> shift)
+
+    values: list = [None] * len(program)
+    for k, (kind, args, released) in enumerate(program):
+        if kind is Var:
+            v = words[args[0]]
+        elif kind is Bot:
+            v = 0
+        elif kind is Top:
+            v = top
+        elif kind is Not:  # top where a = 0, else 0
+            v = top & le(values[args[0]], 0)
+        else:
+            a, b = values[args[0]], values[args[1]]
+            if kind is And:
+                v = b ^ ((a ^ b) & le(a, b))
+            elif kind is Or:
+                v = a ^ ((a ^ b) & le(a, b))
+            elif kind is Implies:  # top where a <= b, else b
+                v = b ^ ((b ^ top) & le(a, b))
+            elif kind is Iff:  # top where a = b, else the smaller one
+                m = le(a, b)
+                v = b ^ ((a ^ b) & m)
+                v ^= (v ^ top) & m & le(b, a)
+            else:  # Lhd: b where b <= a, else top
+                v = top ^ ((top ^ b) & le(b, a))
+        values[k] = v
+        for s in released:
+            values[s] = None
+    return values[-1]
 
 
 def proves_equiv(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:

@@ -1,5 +1,6 @@
 """Shared test utilities: builders, random generators, brute-force oracles,
-and the per-node references the bitmask forest kernel is tested against."""
+the per-node references the bitmask forest kernel is tested against, and the
+per-assignment reference the packed grid oracle is tested against."""
 
 from __future__ import annotations
 
@@ -140,4 +141,14 @@ def reference_implies(a: Subforest, b: Subforest) -> frozenset[AssignmentClass]:
         q
         for q in a.forest.nodes
         if all(c not in am or c in bm for c in q.downward_chain())
+    )
+
+
+def reference_grid_oracle(f: Formula, n: int, t: int) -> bool:
+    """Tautology over the t-valued grid by evaluating f at each of the t**n
+    assignments in turn, with exact rationals."""
+    levels = [Fraction(k, t - 1) for k in range(t)]
+    return all(
+        eval_formula(f, values) == 1
+        for values in itertools.product(levels, repeat=n)
     )

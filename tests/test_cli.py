@@ -1,10 +1,13 @@
 import hashlib
 import json
 import pathlib
+import sys
+from decimal import Decimal
 
 import pytest
 
 from godelforest import (
+    count_leaves,
     enumerate_forest,
     parse_formula,
     partition_from_json,
@@ -214,6 +217,36 @@ def test_taut_long_disjunction_chain(capsys):
     chain = " | ".join(["(X1 -> X2)", "(X2 -> X1)"] * 550)
     code, out, err = run(capsys, "taut", "--n", "2", chain)
     assert (code, out, err) == (0, "tautology\n", "")
+
+
+def test_taut_oracle_deep_negation_chain(capsys):
+    code, out, err = run(capsys, "taut", "--n", "1", "--logic", "g2", "--oracle",
+                         "~" * 3000 + "X1")
+    assert (code, out, err) == (0, "not a tautology\n", "")
+
+
+def test_taut_oracle_long_disjunction_chain(capsys):
+    chain = " | ".join(["(X1 -> X2)", "(X2 -> X1)"] * 550)
+    code, out, err = run(capsys, "taut", "--n", "2", "--logic", "g2", "--oracle", chain)
+    assert (code, out, err) == (0, "tautology\n", "")
+
+
+def test_count_weak_ruspini_n7_is_printed_in_full(capsys):
+    # Pythons before 3.10.7 have no int-to-str digit limit to lift.
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    code, out, err = run(capsys, "count", "--n", "7", "--kind", "weak-ruspini")
+    assert (code, err) == (0, "")
+    assert get_limit() == limit  # lifted for the print only
+    expected = 2 ** (count_leaves(7) - 1) - 1
+    assert len(out.strip()) > 4300
+    assert int(Decimal(out)) == expected  # Decimal parses past the digit limit
+
+
+def test_count_without_a_digit_limit(capsys, monkeypatch):
+    # Pythons before 3.10.7 lack sys.get_int_max_str_digits altogether.
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert run(capsys, "count", "--n", "3", "--kind", "weak-ruspini") == (0, "33554431\n", "")
 
 
 def test_classify_zero_denominator_is_a_clean_error(capsys):

@@ -22,6 +22,7 @@ from godelforest import (
     format_formula,
     parse_formula,
 )
+from godelforest.formulas import postorder
 from helpers import random_formula
 
 
@@ -109,6 +110,29 @@ def test_eval_min_max_constants():
 def test_eval_arity_error():
     with pytest.raises(ValueError):
         eval_formula(Var(3), (Fraction(1),))
+
+
+def test_eval_deep_negation_chain():
+    f = parse_formula("~" * 3000 + "X1")
+    assert eval_formula(f, (Fraction(1, 2),)) == 1
+    assert eval_formula(f, (Fraction(0),)) == 0
+    assert eval_formula(Not(f), (Fraction(1, 2),)) == 0
+
+
+def test_postorder_lists_each_node_once_after_its_children():
+    # postorder is the one traversal under eval_formula, the forest evaluation
+    # and the grid oracle alike, so the differential tests between them cannot
+    # see a fault in it; these explicit orders are its guard.
+    shared = parse_formula("X1 -> X2")
+    f = And(shared, Or(Not(Var(3)), shared))
+    order = postorder(f)
+    assert [id(node) for node in order] == [
+        id(shared.left), id(shared.right), id(shared),
+        id(f.right.left.child), id(f.right.left), id(f.right), id(f),
+    ]
+    assert len(postorder(parse_formula("~" * 3000 + "X1"))) == 3001
+    with pytest.raises(TypeError):
+        postorder(And(Var(1), "X2"))
 
 
 def test_format_examples():

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,7 @@ from godelforest import (
     Or,
     Top,
     Var,
+    disjunction,
     enumerate_forest,
     eval_formula,
     formula_forest,
@@ -26,7 +29,14 @@ from godelforest import (
     truncated_subforest,
     Subforest,
 )
-from helpers import lin_instance, random_formula, random_witness, reference_formula_forest
+from godelforest.semantics import _GRID_BLOCK, _grid_blocks
+from helpers import (
+    lin_instance,
+    random_formula,
+    random_witness,
+    reference_formula_forest,
+    reference_grid_oracle,
+)
 
 
 def test_logic_parsing():
@@ -88,6 +98,83 @@ def test_grid_oracle_budget():
         grid_tautology_oracle(Top(), 8, 12)
     with pytest.raises(ValueError):
         grid_tautology_oracle(Top(), 1, 1)
+
+
+def _grid_cases(rng, n, count):
+    """Random formulas over X1..Xn using all eight node kinds, with
+    implications between two of them, whose verdicts need every value
+    right, and prelinearity instances, which hold on every block."""
+    for _ in range(count):
+        f, g = random_formula(rng, n, 3), random_formula(rng, n, 3)
+        yield from (f, Implies(f, g), Implies(g, f), Or(Implies(f, g), Implies(g, f)))
+
+
+# The field-width edges: from t = 129 the levels need 8 bits and no longer fit
+# a one-byte field beside its spare bit; from t = 257 they need 9.
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 127, 128, 129, 255, 256, 257])
+def test_grid_oracle_matches_the_per_assignment_reference(t):
+    rng = random.Random(t)
+    verdicts = set()
+    for n in range(1, 5):
+        if t**n > 20_000:
+            break
+        for f in _grid_cases(rng, n, 12 if t**n <= 1000 else 1):
+            verdict = grid_tautology_oracle(f, n, t)
+            assert verdict == reference_grid_oracle(f, n, t), (f, n, t)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    for f in (Top(), Bot(), Not(Bot()), Implies(Bot(), Bot()), Or(Bot(), Not(Top()))):
+        assert grid_tautology_oracle(f, 0, t) == reference_grid_oracle(f, 0, t), f
+
+
+@pytest.mark.parametrize("n, t", [(14, 2), (4, 9)])
+def test_grid_oracle_across_blocks(n, t):
+    assert t**n > _GRID_BLOCK
+    rng = random.Random(n * t)
+    cases = list(_grid_cases(rng, n, 2))
+    if t == 2:
+        # Each fails at one point only: Xi = 1 and every other variable 0,
+        # which lies in block 2, 1 and 0 for i = 1, 2 and n.
+        for i in (1, 2, n):
+            others = [Var(j) for j in range(1, n + 1) if j != i]
+            cases.append(Or(Not(Var(i)), disjunction(others)))
+    for f in cases:
+        assert grid_tautology_oracle(f, n, t) == reference_grid_oracle(f, n, t), f
+
+
+@pytest.mark.parametrize("n, t", [(1, 2), (3, 4), (2, 65), (1, 5000), (4, 9), (9, 3), (14, 2)])
+def test_grid_blocks_hold_the_grid_in_product_order(n, t):
+    points = itertools.product(range(t), repeat=n)
+    for words, frame in _grid_blocks(n, t):
+        width = frame.shift + 1  # bits per field
+        fields = (frame.ones.bit_length() - 1) // width + 1
+        columns = []
+        for word in words:
+            raw = word.to_bytes(fields * width // 8, "little")
+            columns.append([int.from_bytes(raw[k:k + width // 8], "little")
+                            for k in range(0, len(raw), width // 8)])
+        for point in zip(*columns):
+            assert point == next(points)
+    assert next(points, None) is None
+
+
+# The largest grids the budget allows.  The per-assignment evaluator took
+# seconds on each, and over 100 MB at t = 10**6.
+@pytest.mark.parametrize("text, n, t, verdict", [
+    ("X1 -> X1", 1, 10**6, True),
+    ("X1 | ~X1", 1, 10**6, False),
+    ("(X1 -> X2) | (X2 -> X1)", 2, 1000, True),
+    ("(X1 -> X2) | (X2 -> X1)", 19, 2, True),
+])
+def test_grid_oracle_at_the_budget_edge(text, n, t, verdict):
+    f = parse_formula(text)
+    tracemalloc.start()
+    try:
+        assert grid_tautology_oracle(f, n, t) is verdict
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def test_forest_decision_agrees_with_grid_oracle():
