@@ -12,7 +12,6 @@ interval sum to 1.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,10 +143,19 @@ def stirling2(n: int, k: int) -> int:
 
 
 def ordered_bell(n: int) -> int:
-    """Number of ordered partitions of an n-set."""
+    """Number of ordered partitions of an n-set.
+
+    The sum of c_j * j**n over j = 0..n, where c_n = 1 and c_j = 2 * c_(j+1)
+    + (-1)**(n-j) * C(n+1, j+1): O(n) big-int steps and no recursion.
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return sum(math.factorial(k) * stirling2(n, k) for k in range(n + 1))
+    total, c, binom, sign = 0, 1, 1, -1  # c_j, C(n+1, j+1), (-1)**(n-j+1) at j = n
+    for j in range(n, -1, -1):
+        total += c * j**n
+        binom = binom * (j + 1) // (n + 1 - j)
+        c, sign = 2 * c + sign * binom, -sign
+    return total
 
 
 def count_leaves(n: int) -> int:
@@ -262,7 +270,7 @@ def analyze(p: Partition) -> AnalysisReport:
     fp = downset(forest, realized)
     alpha = axiomatize_subforest(fp)
     tau = overlap_axiom(p.n)
-    g4 = Logic.finite(4)
+    g4 = Logic(4)
 
     ruspini_direct = all(
         any(leq(c, d) and is_ruspini_leaf(d) for d in realized) for c in realized

@@ -15,7 +15,7 @@ ids: meet is `&`, join is `|`, and implication fills subtree intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 MAX_FOREST_VARIABLES = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssignmentClass:
     """Order/equality pattern of one assignment to X1..Xn.
 
@@ -37,6 +37,9 @@ class AssignmentClass:
     zero: tuple[int, ...]
     mid: tuple[tuple[int, ...], ...]
     one: tuple[int, ...]
+    # chain_string()'s cache: forest nodes are shared, so their labels in
+    # exports and reports can be too.
+    _chain: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "zero", tuple(sorted(self.zero)))
@@ -105,12 +108,9 @@ class AssignmentClass:
 
     def chain_string(self) -> str:
         """Human-readable chain, e.g. "0=X1<X2<1" or "0<X1=X2<1"."""
-        # Cached: forest nodes are shared, so their labels in exports and
-        # reports can be too.
-        label = self.__dict__.get("_chain_string")
-        if label is None:
-            label = self.__dict__["_chain_string"] = self._format_chain()
-        return label
+        if self._chain is None:
+            object.__setattr__(self, "_chain", self._format_chain())
+        return self._chain
 
     def _format_chain(self) -> str:
         parts = ["0"]
@@ -333,10 +333,19 @@ class Forest:
         return f"Forest(n={self.n}, nodes={len(self.nodes)})"
 
 
+_SET_N, _SET_ZERO, _SET_MID, _SET_ONE, _SET_CHAIN = (
+    getattr(AssignmentClass, name).__set__ for name in ("n", "zero", "mid", "one", "_chain")
+)
+
+
 def _class(n: int, zero: tuple, mid: tuple, one: tuple) -> AssignmentClass:
     """Class from blocks already in canonical form, without validation."""
     c = object.__new__(AssignmentClass)
-    c.__dict__.update(n=n, zero=zero, mid=mid, one=one)
+    _SET_N(c, n)
+    _SET_ZERO(c, zero)
+    _SET_MID(c, mid)
+    _SET_ONE(c, one)
+    _SET_CHAIN(c, None)
     return c
 
 

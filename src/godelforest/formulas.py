@@ -14,6 +14,8 @@ value outside {0, 1} and the values supplied by the assignment.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -101,29 +103,16 @@ def arity(f: Formula) -> int:
     return result
 
 
-def expand_derived(f: Formula) -> Formula:
-    """Rewrite <-> and <| into the primitive connectives, recursively."""
-    match f:
-        case Var() | Bot() | Top():
-            return f
-        case Not(child=c):
-            return Not(expand_derived(c))
-        case And(left=l, right=r):
-            return And(expand_derived(l), expand_derived(r))
-        case Or(left=l, right=r):
-            return Or(expand_derived(l), expand_derived(r))
-        case Implies(left=l, right=r):
-            return Implies(expand_derived(l), expand_derived(r))
-        case Iff(left=l, right=r):
-            l, r = expand_derived(l), expand_derived(r)
-            return And(Implies(l, r), Implies(r, l))
-        case Lhd(left=l, right=r):
-            l, r = expand_derived(l), expand_derived(r)
-            return Implies(Implies(r, l), r)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-_BINARY_KINDS = (And, Or, Implies, Iff, Lhd)
+#: The syntax: each node kind's token text and precedence (higher binds
+#: tighter).  The scanner, parser and printer all read it.
+_SYNTAX = (
+    ("X", Var, 5), ("0", Bot, 5), ("1", Top, 5), ("~", Not, 4),
+    ("&", And, 3), ("|", Or, 2), ("->", Implies, 1), ("<->", Iff, 1), ("<|", Lhd, 1),
+)
+_NODE = {text: node for text, node, _ in _SYNTAX}
+_TEXT = {node: text for text, node, _ in _SYNTAX}
+_PREC = {key: prec for text, node, prec in _SYNTAX for key in (text, node)}
+_BINARY_KINDS = tuple(node for _, node, prec in _SYNTAX if prec < 4)
 
 
 def postorder(f: Formula) -> list[Formula]:
@@ -205,177 +194,49 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    pos: int
-    index: int = 0
+# No operator's text is a prefix of another's, so their order is free.
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)|X(?P<var>\d*)|(?P<word>[^\W\d_]+)|(?P<op>"
+    + "|".join(re.escape(text) for text in [*_NODE, "(", ")"] if text != "X")
+    + r")|(?P<other>.)",
+    re.DOTALL,
+)
+_WORDS = {"bot": "0", "top": "1"}
+_BAD_START = {"-": "expected '->'", "<": "expected '<->' or '<|'"}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "X":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected digits after 'X'", i)
-            index = int(text[i + 1 : j])
+def _tokenize(text: str) -> list[tuple[str, int, int]]:
+    """(kind, position, variable index) per token, then ("end", len(text), 0).
+    A kind is the token's text in _SYNTAX ("X" for any variable, "0"/"1" for
+    bot/top too) or a parenthesis."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        group, pos = m.lastgroup, m.start()
+        if group == "op":
+            tokens.append((m[group], pos, 0))
+        elif group == "var":
+            if not m[group]:
+                raise ParseError("expected digits after 'X'", pos)
+            try:
+                index = int(m[group])
+            except ValueError:  # more digits than int() converts
+                raise ParseError("variable index too long", pos) from None
             if index == 0:
-                raise ParseError("variable index 0 is not allowed", i)
-            tokens.append(_Token("var", i, index))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i:j]
-            if word == "bot":
-                tokens.append(_Token("zero", i))
-            elif word == "top":
-                tokens.append(_Token("one", i))
-            else:
-                raise ParseError(f"unknown word {word!r}", i)
-            i = j
-            continue
-        if ch == "0":
-            tokens.append(_Token("zero", i))
-            i += 1
-            continue
-        if ch == "1":
-            tokens.append(_Token("one", i))
-            i += 1
-            continue
-        if ch == "~":
-            tokens.append(_Token("not", i))
-            i += 1
-            continue
-        if ch == "&":
-            tokens.append(_Token("and", i))
-            i += 1
-            continue
-        if ch == "|":
-            tokens.append(_Token("or", i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", i))
-            i += 1
-            continue
-        if ch == "-":
-            if text[i : i + 2] == "->":
-                tokens.append(_Token("implies", i))
-                i += 2
-                continue
-            raise ParseError("expected '->'", i)
-        if ch == "<":
-            if text[i : i + 3] == "<->":
-                tokens.append(_Token("iff", i))
-                i += 3
-                continue
-            if text[i : i + 2] == "<|":
-                tokens.append(_Token("lhd", i))
-                i += 2
-                continue
-            raise ParseError("expected '<->' or '<|'", i)
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", n))
+                raise ParseError("variable index 0 is not allowed", pos)
+            tokens.append(("X", pos, index))
+        elif group == "word" and m[group] in _WORDS:
+            tokens.append((_WORDS[m[group]], pos, 0))
+        elif group != "space":
+            if group == "word":
+                # \w also matches numerals such as '²' and '½', which end a word.
+                word = "".join(itertools.takewhile(str.isalpha, m[group]))
+                if word and word not in _WORDS:
+                    raise ParseError(f"unknown word {word!r}", pos)
+                pos += len(word)
+            ch = text[pos]
+            raise ParseError(_BAD_START.get(ch, f"unexpected character {ch!r}"), pos)
+    tokens.append(("end", len(text), 0))
     return tokens
-
-
-_ARROWS = {"implies": Implies, "iff": Iff, "lhd": Lhd}
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.arrow()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError("unexpected trailing input", tok.pos)
-        return f
-
-    def arrow(self) -> Formula:
-        items = [self.disjunction()]
-        ops: list[_Token] = []
-        while self.peek().kind in _ARROWS:
-            ops.append(self.advance())
-            items.append(self.disjunction())
-        if not ops:
-            return items[0]
-        for tok in ops[1:]:
-            if tok.kind != ops[0].kind:
-                raise ParseError(
-                    "mixing '->', '<->', '<|' in one chain requires parentheses",
-                    tok.pos,
-                )
-        node = _ARROWS[ops[0].kind]
-        result = items[-1]
-        for item in reversed(items[:-1]):
-            result = node(item, result)
-        return result
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek().kind == "or":
-            self.advance()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "and":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        negations = 0
-        while self.peek().kind == "not":
-            self.advance()
-            negations += 1
-        f = self.atom()
-        for _ in range(negations):
-            f = Not(f)
-        return f
-
-    def atom(self) -> Formula:
-        tok = self.advance()
-        if tok.kind == "var":
-            return Var(tok.index)
-        if tok.kind == "zero":
-            return Bot()
-        if tok.kind == "one":
-            return Top()
-        if tok.kind == "lparen":
-            f = self.arrow()
-            closing = self.advance()
-            if closing.kind != "rparen":
-                raise ParseError("expected ')'", closing.pos)
-            return f
-        raise ParseError("expected a variable, constant, '~' or '('", tok.pos)
 
 
 def parse_formula(text: str) -> Formula:
@@ -384,52 +245,96 @@ def parse_formula(text: str) -> Formula:
     Variables are X1, X2, ...; constants 0/bot and 1/top.  ~ binds tightest,
     then &, then |, then the arrows ->, <->, <| at equal precedence.  Arrows
     associate to the right and may not be mixed in one chain without
-    parentheses.
+    parentheses.  One loop over the tokens, so any nesting depth is fine.
     """
-    return _Parser(_tokenize(text)).parse()
-
-
-def _prec(f: Formula) -> int:
-    match f:
-        case Var() | Bot() | Top():
-            return 5
-        case Not():
-            return 4
-        case And():
-            return 3
-        case Or():
-            return 2
-    return 1
-
-
-_ARROW_SYMBOL = {Implies: "->", Iff: "<->", Lhd: "<|"}
+    # The open parentheses' frames.  A frame is the arrow chain so far, as
+    # (left operand, arrow, position) triples, the disjunction and the
+    # conjunction being built, and the number of '~' waiting for an operand.
+    frames: list[tuple[list, Formula | None, Formula | None, int]] = []
+    chain, disj, conj, nots = [], None, None, 0
+    operand_next = True
+    for kind, pos, index in _tokenize(text):
+        if operand_next:
+            if kind == "~":
+                nots += 1
+                continue
+            if kind == "(":
+                frames.append((chain, disj, conj, nots))
+                chain, disj, conj, nots = [], None, None, 0
+                continue
+            if _PREC.get(kind) != 5:
+                raise ParseError("expected a variable, constant, '~' or '('", pos)
+            operand = Var(index) if kind == "X" else _NODE[kind]()
+        else:
+            if kind == "&":
+                operand_next = True
+                continue
+            disj = conj if disj is None else Or(disj, conj)
+            conj = None
+            if kind == "|":
+                operand_next = True
+                continue
+            if _PREC.get(kind) == 1:
+                chain.append((disj, kind, pos))
+                disj, operand_next = None, True
+                continue
+            # Anything else ends the chain: check it, then fold it to the right.
+            operand = disj
+            for _, arrow, at in chain[1:]:
+                if arrow != chain[0][1]:
+                    raise ParseError(
+                        "mixing '->', '<->', '<|' in one chain requires parentheses", at
+                    )
+            for left, arrow, _ in reversed(chain):
+                operand = _NODE[arrow](left, operand)
+            if kind != (")" if frames else "end"):
+                raise ParseError("expected ')'" if frames else "unexpected trailing input", pos)
+            if kind == "end":
+                return operand
+            chain, disj, conj, nots = frames.pop()
+        for _ in range(nots):
+            operand = Not(operand)
+        conj = operand if conj is None else And(conj, operand)
+        nots, operand_next = 0, False
 
 
 def format_formula(f: Formula) -> str:
-    """Render f with minimal parentheses; parse_formula inverts it exactly."""
+    """Render f with minimal parentheses; parse_formula inverts it exactly.
+    An explicit stack of nodes and text pieces, so any depth is fine."""
+    pieces: list[str] = []
+    stack: list = [f]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is _Piece:
+            pieces.append(item)
+        elif _PREC.get(kind) == 5:
+            pieces.append(f"X{item.index}" if kind is Var else _TEXT[kind])
+        elif kind is Not:
+            stack += _wrapped(item.child, _PREC.get(type(item.child), 0) < 4)
+            pieces.append("~")
+        elif kind in _BINARY_KINDS:
+            # & and | group to the left, the arrows to the right.
+            prec, left, right = _PREC[kind], item.left, item.right
+            lp, rp = _PREC.get(type(left), 0), _PREC.get(type(right), 0)
+            stack += _wrapped(right, rp <= prec and (prec > 1 or type(right) is not kind))
+            stack.append(_SPACED[kind])
+            stack += _wrapped(left, lp < prec or lp == prec == 1)
+        else:
+            raise TypeError(f"not a formula: {item!r}")
+    return "".join(pieces)
 
-    def wrap(child: Formula, needed: bool) -> str:
-        s = format_formula(child)
-        return f"({s})" if needed else s
 
-    match f:
-        case Var(index=i):
-            return f"X{i}"
-        case Bot():
-            return "0"
-        case Top():
-            return "1"
-        case Not(child=c):
-            return "~" + wrap(c, _prec(c) < 4)
-        case And(left=l, right=r):
-            return wrap(l, _prec(l) < 3) + " & " + wrap(r, _prec(r) <= 3)
-        case Or(left=l, right=r):
-            return wrap(l, _prec(l) < 2) + " | " + wrap(r, _prec(r) <= 2)
-        case Implies() | Iff() | Lhd():
-            sym = _ARROW_SYMBOL[type(f)]
-            left_s = wrap(f.left, _prec(f.left) <= 1)
-            right_s = wrap(
-                f.right, _prec(f.right) <= 1 and type(f.right) is not type(f)
-            )
-            return f"{left_s} {sym} {right_s}"
-    raise TypeError(f"not a formula: {f!r}")
+class _Piece(str):
+    """Text on the printer's stack; a type of its own, so no node is taken for it."""
+
+    __slots__ = ()
+
+
+_OPEN, _CLOSE = _Piece("("), _Piece(")")
+_SPACED = {node: _Piece(f" {_TEXT[node]} ") for node in _BINARY_KINDS}
+
+
+def _wrapped(node: object, parenthesize: bool) -> tuple:
+    """Stack items that print node, in parentheses if asked."""
+    return (_CLOSE, node, _OPEN) if parenthesize else (node,)

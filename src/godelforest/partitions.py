@@ -11,6 +11,7 @@ evaluations.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -26,14 +27,20 @@ from .forest import (
 
 RationalLike = Union[Fraction, int, str]
 
+#: The documented rational text: an integer or p/q, optionally signed.
+#: `Fraction` alone would also take decimals and exponents, and an exponent
+#: such as 1e-100000000 would take minutes to expand.
+_RATIONAL_TEXT = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
+
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Exact rational from an int, Fraction, or a "p/q" / integer string."""
+    """Exact rational from an int, Fraction, or a "p/q" / integer string
+    (optionally signed, surrounding whitespace allowed)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -45,10 +45,6 @@ class Logic:
         if self.t is not None and self.t < 2:
             raise ValueError(f"a finite-valued logic needs t >= 2, got {self.t}")
 
-    @classmethod
-    def finite(cls, t: int) -> "Logic":
-        return cls(t)
-
     @property
     def is_finite(self) -> bool:
         return self.t is not None
@@ -66,7 +62,7 @@ def parse_logic(text: str) -> Logic:
     if name == "ginf":
         return GINF
     if name.startswith("g") and name[1:].isdigit():
-        return Logic.finite(int(name[1:]))
+        return Logic(int(name[1:]))
     raise ValueError(f"unknown logic {text!r}; use 'ginf' or 'g<t>' such as 'g4'")
 
 

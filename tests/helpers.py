@@ -1,11 +1,15 @@
 """Shared test utilities: builders, random generators, brute-force oracles,
-the per-node references the bitmask forest kernel is tested against, and the
-per-assignment reference the packed grid oracle is tested against."""
+the per-node references the bitmask forest kernel is tested against, the
+per-assignment reference the packed grid oracle is tested against, and the
+recursive scanner, parser and printer the formula front end is tested
+against."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from godelforest import (
@@ -19,6 +23,7 @@ from godelforest import (
     Lhd,
     Not,
     Or,
+    ParseError,
     Subforest,
     Top,
     Var,
@@ -28,6 +33,7 @@ from godelforest import (
     downset,
     eval_formula,
     ruspini_subforest,
+    stirling2,
 )
 
 
@@ -152,3 +158,265 @@ def reference_grid_oracle(f: Formula, n: int, t: int) -> bool:
         eval_formula(f, values) == 1
         for values in itertools.product(levels, repeat=n)
     )
+
+
+def reference_ordered_bell(n: int) -> int:
+    """Ordered partitions of an n-set, summed over the number k of blocks:
+    k! orderings of each of the S(n, k) partitions into k blocks."""
+    return sum(math.factorial(k) * stirling2(n, k) for k in range(n + 1))
+
+
+def expand_derived(f: Formula) -> Formula:
+    """Rewrite <-> and <| into the primitive connectives, recursively."""
+    match f:
+        case Var() | Bot() | Top():
+            return f
+        case Not(child=c):
+            return Not(expand_derived(c))
+        case And(left=l, right=r):
+            return And(expand_derived(l), expand_derived(r))
+        case Or(left=l, right=r):
+            return Or(expand_derived(l), expand_derived(r))
+        case Implies(left=l, right=r):
+            return Implies(expand_derived(l), expand_derived(r))
+        case Iff(left=l, right=r):
+            l, r = expand_derived(l), expand_derived(r)
+            return And(Implies(l, r), Implies(r, l))
+        case Lhd(left=l, right=r):
+            l, r = expand_derived(l), expand_derived(r)
+            return Implies(Implies(r, l), r)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+# The recursive scanner, parser and printer, the references for
+# parse_formula and format_formula; deep input exhausts their recursion.
+
+
+@dataclass(frozen=True, slots=True)
+class _Token:
+    kind: str
+    pos: int
+    index: int = 0
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch == "X":
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ParseError("expected digits after 'X'", i)
+            index = int(text[i + 1 : j])
+            if index == 0:
+                raise ParseError("variable index 0 is not allowed", i)
+            tokens.append(_Token("var", i, index))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            word = text[i:j]
+            if word == "bot":
+                tokens.append(_Token("zero", i))
+            elif word == "top":
+                tokens.append(_Token("one", i))
+            else:
+                raise ParseError(f"unknown word {word!r}", i)
+            i = j
+            continue
+        if ch == "0":
+            tokens.append(_Token("zero", i))
+            i += 1
+            continue
+        if ch == "1":
+            tokens.append(_Token("one", i))
+            i += 1
+            continue
+        if ch == "~":
+            tokens.append(_Token("not", i))
+            i += 1
+            continue
+        if ch == "&":
+            tokens.append(_Token("and", i))
+            i += 1
+            continue
+        if ch == "|":
+            tokens.append(_Token("or", i))
+            i += 1
+            continue
+        if ch == "(":
+            tokens.append(_Token("lparen", i))
+            i += 1
+            continue
+        if ch == ")":
+            tokens.append(_Token("rparen", i))
+            i += 1
+            continue
+        if ch == "-":
+            if text[i : i + 2] == "->":
+                tokens.append(_Token("implies", i))
+                i += 2
+                continue
+            raise ParseError("expected '->'", i)
+        if ch == "<":
+            if text[i : i + 3] == "<->":
+                tokens.append(_Token("iff", i))
+                i += 3
+                continue
+            if text[i : i + 2] == "<|":
+                tokens.append(_Token("lhd", i))
+                i += 2
+                continue
+            raise ParseError("expected '<->' or '<|'", i)
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("end", n))
+    return tokens
+
+
+_ARROWS = {"implies": Implies, "iff": Iff, "lhd": Lhd}
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]) -> None:
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def parse(self) -> Formula:
+        f = self.arrow()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError("unexpected trailing input", tok.pos)
+        return f
+
+    def arrow(self) -> Formula:
+        items = [self.disjunction()]
+        ops: list[_Token] = []
+        while self.peek().kind in _ARROWS:
+            ops.append(self.advance())
+            items.append(self.disjunction())
+        if not ops:
+            return items[0]
+        for tok in ops[1:]:
+            if tok.kind != ops[0].kind:
+                raise ParseError(
+                    "mixing '->', '<->', '<|' in one chain requires parentheses",
+                    tok.pos,
+                )
+        node = _ARROWS[ops[0].kind]
+        result = items[-1]
+        for item in reversed(items[:-1]):
+            result = node(item, result)
+        return result
+
+    def disjunction(self) -> Formula:
+        f = self.conjunction()
+        while self.peek().kind == "or":
+            self.advance()
+            f = Or(f, self.conjunction())
+        return f
+
+    def conjunction(self) -> Formula:
+        f = self.unary()
+        while self.peek().kind == "and":
+            self.advance()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self) -> Formula:
+        negations = 0
+        while self.peek().kind == "not":
+            self.advance()
+            negations += 1
+        f = self.atom()
+        for _ in range(negations):
+            f = Not(f)
+        return f
+
+    def atom(self) -> Formula:
+        tok = self.advance()
+        if tok.kind == "var":
+            return Var(tok.index)
+        if tok.kind == "zero":
+            return Bot()
+        if tok.kind == "one":
+            return Top()
+        if tok.kind == "lparen":
+            f = self.arrow()
+            closing = self.advance()
+            if closing.kind != "rparen":
+                raise ParseError("expected ')'", closing.pos)
+            return f
+        raise ParseError("expected a variable, constant, '~' or '('", tok.pos)
+
+
+def reference_parse_formula(text: str) -> Formula:
+    """Parse formula text.
+
+    Variables are X1, X2, ...; constants 0/bot and 1/top.  ~ binds tightest,
+    then &, then |, then the arrows ->, <->, <| at equal precedence.  Arrows
+    associate to the right and may not be mixed in one chain without
+    parentheses.
+    """
+    return _Parser(_tokenize(text)).parse()
+
+
+def _prec(f: Formula) -> int:
+    match f:
+        case Var() | Bot() | Top():
+            return 5
+        case Not():
+            return 4
+        case And():
+            return 3
+        case Or():
+            return 2
+    return 1
+
+
+_ARROW_SYMBOL = {Implies: "->", Iff: "<->", Lhd: "<|"}
+
+
+def reference_format_formula(f: Formula) -> str:
+    """Render f with minimal parentheses; parse_formula inverts it exactly."""
+
+    def wrap(child: Formula, needed: bool) -> str:
+        s = reference_format_formula(child)
+        return f"({s})" if needed else s
+
+    match f:
+        case Var(index=i):
+            return f"X{i}"
+        case Bot():
+            return "0"
+        case Top():
+            return "1"
+        case Not(child=c):
+            return "~" + wrap(c, _prec(c) < 4)
+        case And(left=l, right=r):
+            return wrap(l, _prec(l) < 3) + " & " + wrap(r, _prec(r) <= 3)
+        case Or(left=l, right=r):
+            return wrap(l, _prec(l) < 2) + " | " + wrap(r, _prec(r) <= 2)
+        case Implies() | Iff() | Lhd():
+            sym = _ARROW_SYMBOL[type(f)]
+            left_s = wrap(f.left, _prec(f.left) <= 1)
+            right_s = wrap(
+                f.right, _prec(f.right) <= 1 and type(f.right) is not type(f)
+            )
+            return f"{left_s} {sym} {right_s}"
+    raise TypeError(f"not a formula: {f!r}")

@@ -156,7 +156,7 @@ def test_criterion_07_finite_valued_oracle_equivalence():
     for _ in range(200):
         f = random_formula(rng, 3, 6)
         for t in (2, 3, 4, 5):
-            if is_tautology(f, 3, Logic.finite(t)) != grid_tautology_oracle(f, 3, t):
+            if is_tautology(f, 3, Logic(t)) != grid_tautology_oracle(f, 3, t):
                 disagreements += 1
     ok = disagreements == 0
     _report(
@@ -248,7 +248,7 @@ def test_criterion_09_verdict_triples_and_finite_agreement():
 
     consistent = True
     finite_agreement = True
-    g4 = Logic.finite(4)
+    g4 = Logic(4)
     for p in positives + negatives:
         report = analyze(p)
         for triple in (

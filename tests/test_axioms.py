@@ -42,7 +42,7 @@ from godelforest import (
     synthesize_partition,
     two_overlap_subforest,
 )
-from helpers import cls, fr, random_ruspini_subforest
+from helpers import cls, fr, random_ruspini_subforest, reference_ordered_bell
 
 
 def pl(name, *pts):
@@ -166,6 +166,14 @@ def test_counting_formulas():
     assert count_weak_ruspini(3) == 2**25 - 1
     with pytest.raises(ValueError):
         count_leaves(0)
+
+
+def test_ordered_bell_matches_the_stirling_sum():
+    # The Stirling recursion is as deep as n; n <= 300 stays inside the
+    # default recursion limit when the cache is filled in increasing n.
+    assert all(ordered_bell(n) == reference_ordered_bell(n) for n in range(301))
+    with pytest.raises(ValueError):
+        ordered_bell(-1)
 
 
 def test_weak_ruspini_count_matches_exhaustive_enumeration():
@@ -319,7 +327,7 @@ def test_analyze_consistency_and_finite_logic_agreement():
         instances.append(
             synthesize_partition(random_ruspini_subforest(rng, forest3), 3)
         )
-    g4 = Logic.finite(4)
+    g4 = Logic(4)
     for p in instances:
         report = analyze(p)
         for triple in (

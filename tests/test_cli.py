@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -243,6 +244,14 @@ def test_count_weak_ruspini_n7_is_printed_in_full(capsys):
     assert int(Decimal(out)) == expected  # Decimal parses past the digit limit
 
 
+def test_count_leaves_n3000(capsys):
+    code, out, err = run(capsys, "count", "--n", "3000", "--kind", "leaves")
+    assert (code, err) == (0, "")
+    digits = out.strip()
+    assert len(digits) == 9609 and digits.startswith("199881443907")
+    assert int(Decimal(digits)) % (10**9 + 7) == 768993799
+
+
 def test_count_without_a_digit_limit(capsys, monkeypatch):
     # Pythons before 3.10.7 lack sys.get_int_max_str_digits altogether.
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
@@ -253,6 +262,20 @@ def test_classify_zero_denominator_is_a_clean_error(capsys):
     code, out, err = run(capsys, "classify", "--values", "1/0")
     assert (code, out) == (1, "")
     assert err == "error: zero denominator in '1/0'\n"
+
+
+def test_classify_refuses_an_exponent_at_once(capsys):
+    # Fraction would expand 10**100000000 before answering.
+    started = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--values", "1e-100000000,0")
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (1, "")
+    assert err == "error: not an exact rational: '1e-100000000'\n"
+
+
+def test_taut_1200_nested_parentheses(capsys):
+    text = "(" * 1200 + "X1 -> X1" + ")" * 1200
+    assert run(capsys, "taut", "--n", "1", text) == (0, "tautology\n", "")
 
 
 # SHA-256 of each command's output before the forest kernel moved to

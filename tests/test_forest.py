@@ -190,6 +190,17 @@ def test_chain_string():
     assert cls(3, mid=[[2], [1, 3]]).chain_string() == "0<X2<X1=X3<1"
 
 
+def test_classes_are_slotted_and_cache_their_label():
+    forest = enumerate_forest(3)
+    node = forest.nodes[5]
+    assert not hasattr(node, "__dict__")
+    assert node.chain_string() is node.chain_string()
+    fresh = AssignmentClass(node.n, node.zero, node.mid, node.one)
+    assert fresh == node and hash(fresh) == hash(node)  # labelled against unlabelled
+    assert fresh.chain_string() == node.chain_string() and fresh == node
+    assert repr(fresh) == repr(node) and "_chain" not in repr(node)
+
+
 def test_structural_facts():
     for n in (1, 2, 3, 4):
         forest = enumerate_forest(n)

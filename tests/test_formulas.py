@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,23 @@ from godelforest import (
     Top,
     Var,
     arity,
+    axiomatize_subforest,
+    enumerate_forest,
     eval_formula,
-    expand_derived,
     format_formula,
+    formula_forest,
+    overlap_axiom,
     parse_formula,
+    ruspini_axiom,
+    ruspini_subforest,
 )
 from godelforest.formulas import postorder
-from helpers import random_formula
+from helpers import (
+    expand_derived,
+    random_formula,
+    reference_format_formula,
+    reference_parse_formula,
+)
 
 
 def test_parse_examples():
@@ -63,6 +74,11 @@ def test_parse_error_positions():
         parse_formula("foo")
     with pytest.raises(ParseError):
         parse_formula("")
+
+
+def test_parse_refuses_a_variable_index_past_the_int_digit_limit():
+    with pytest.raises(ParseError, match="variable index too long"):
+        parse_formula("X" + "1" * 5000)
 
 
 def test_parse_mixed_arrows_need_parens():
@@ -207,3 +223,87 @@ def test_arity():
     assert arity(parse_formula("X2 & ~X5")) == 5
     assert arity(Bot()) == 0
     assert arity(parse_formula("X1 <-> X1")) == 1
+
+
+# Every token, near misses of tokens, and characters at the edges of the
+# scanner's classes: whitespace it does not skip ('\x0b', '\xa0'), letters
+# outside ASCII, a non-ASCII decimal digit, digits that are not decimal ('²',
+# '½') and '_'.
+_VALID_PIECES = ("X1", "X2", "X12", "0", "1", "bot", "top", "~", "&", "|", "->",
+                 "<->", "<|", "(", ")", " ", "\t", "\n", "\r")
+_INVALID_PIECES = ("X", "X0", "Xq", "X00", "X٣", "X²", "botX", "-", "<", "\x0b",
+                   "\xa0", "é", "ß", "٣", "²", "½", "_")
+
+
+def _parse_outcome(parse, text):
+    try:
+        return "formula", parse(text)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.pos
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def test_parser_matches_the_recursive_reference_on_random_text():
+    rng = random.Random(4)
+    pieces = _VALID_PIECES + _INVALID_PIECES
+    weights = list(accumulate([8] * len(_VALID_PIECES) + [1] * len(_INVALID_PIECES)))
+    kinds = {"formula": 0, "ParseError": 0, "int() ValueError": 0}
+    for _ in range(100_000):
+        text = "".join(rng.choices(pieces, cum_weights=weights, k=rng.randint(0, 14)))
+        expected = _parse_outcome(reference_parse_formula, text)
+        got = _parse_outcome(parse_formula, text)
+        if expected[0] == "ValueError":
+            # The reference hands digits such as '²' to int(); here they are
+            # not digits, and the text is refused with a ParseError.
+            assert got[0] == "ParseError", text
+            kinds["int() ValueError"] += 1
+        else:
+            assert got == expected, text
+            kinds[expected[0]] += 1
+    assert min(kinds.values()) > 1000, kinds
+
+
+def test_printer_matches_the_recursive_reference():
+    rng = random.Random(5)
+    formulas = [random_formula(rng, 5, rng.randint(0, 8)) for _ in range(5000)]
+    formulas += [axiom(n) for n in range(1, 8) for axiom in (ruspini_axiom, overlap_axiom)]
+    for f in formulas:
+        assert format_formula(f) == reference_format_formula(f)
+
+
+# Deep formulas are compared by text or by value-1 mask: dataclass equality
+# recurses.
+def test_deep_nesting_parses_and_prints():
+    assert parse_formula("(" * 5000 + "X1 -> X2" + ")" * 5000) == Implies(Var(1), Var(2))
+    fold, negations = Var(1), Var(1)
+    for k in range(5000):
+        fold, negations = Or(fold, Var(k % 3 + 1)), Not(negations)
+    for f, text in ((fold, "X1" + "".join(f" | X{k % 3 + 1}" for k in range(5000))),
+                    (negations, "~" * 5000 + "X1")):
+        assert format_formula(f) == text
+        assert format_formula(parse_formula(text)) == text
+
+
+def test_ruspini_forest_axiom_n5_round_trips():
+    forest = enumerate_forest(5)
+    axiom = axiomatize_subforest(ruspini_subforest(forest))  # 1,081 disjuncts
+    text = format_formula(axiom)
+    again = parse_formula(text)
+    assert format_formula(again) == text
+    assert formula_forest(again, forest).mask == formula_forest(axiom, forest).mask
+
+
+def test_printer_rejects_non_formulas():
+    with pytest.raises(TypeError, match="not a formula: 'X2'"):
+        format_formula(And(Var(1), "X2"))
+
+
+@given(st.lists(st.sampled_from(_VALID_PIECES + _INVALID_PIECES)).map("".join) | st.text())
+@settings(max_examples=300, deadline=None)
+def test_parse_gives_a_formula_or_a_parse_error(text):
+    try:
+        f = parse_formula(text)
+    except ParseError:
+        return
+    assert format_formula(parse_formula(format_formula(f))) == format_formula(f)

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from godelforest import (
     Partition,
     PiecewiseLinearFuzzySet,
+    as_fraction,
     check_2_overlapping,
     check_ruspini_exact,
     class_of_values,
@@ -304,3 +307,45 @@ def test_json_validation_messages():
                 ]
             }
         )
+
+
+def test_as_fraction_takes_only_integers_and_p_over_q():
+    assert as_fraction(" -3/6 ") == Fraction(-1, 2)
+    assert as_fraction("+7") == 7
+    for text in ("0.5", "1e-100000000", "1E3", "1_000", "1/2/3", "1 /2", "/2", "", "inf"):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            as_fraction(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_fraction("1/0")
+
+
+# Texts that make a valid partition and texts that must be refused.
+_RATIONAL_TEXTS = st.sampled_from(
+    ["0", "1", "1/2", "2/3", " 1 "] * 3 + ["-1/3", "3/2", "1/0", "0.5", "1e-9", "x", ""]
+)
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=4)
+                | _RATIONAL_TEXTS)
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12,
+)
+_POINTS = (
+    st.lists(_RATIONAL_TEXTS, min_size=4, max_size=4).map(
+        lambda v: [["0", v[0]], [v[1], v[2]], ["1", v[3]]])
+    | st.lists(st.lists(_JSON_LEAVES, min_size=2, max_size=2) | _JSON, max_size=5)
+)
+_SETS = st.lists(st.fixed_dictionaries({"points": _POINTS}, optional={"name": _JSON_LEAVES})
+                 | _JSON, max_size=3)
+_PARTITIONS = st.fixed_dictionaries({"sets": _SETS}, optional={"n": _JSON_LEAVES}) | _JSON
+
+
+@given(_PARTITIONS)
+@settings(max_examples=300, deadline=None)
+def test_partition_from_json_gives_a_partition_or_a_value_error(obj):
+    try:
+        p = partition_from_json(obj)
+    except ValueError:
+        return
+    assert partition_from_json(partition_to_json(p)) == p

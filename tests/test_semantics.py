@@ -41,13 +41,13 @@ from helpers import (
 
 def test_logic_parsing():
     assert parse_logic("ginf") == GINF
-    assert parse_logic("g4") == Logic.finite(4)
+    assert parse_logic("g4") == Logic(4)
     assert parse_logic("G3").t == 3
     with pytest.raises(ValueError):
         parse_logic("g1")
     with pytest.raises(ValueError):
         parse_logic("lukasiewicz")
-    assert str(GINF) == "ginf" and str(Logic.finite(5)) == "g5"
+    assert str(GINF) == "ginf" and str(Logic(5)) == "g5"
 
 
 def test_formula_forest_constants():
@@ -66,30 +66,30 @@ def test_prelinearity_is_tautology():
     f = parse_formula("(X1 -> X2) | (X2 -> X1)")
     for n in (2, 3):
         assert is_tautology(f, n)
-        assert is_tautology(f, n, Logic.finite(4))
+        assert is_tautology(f, n, Logic(4))
 
 
 def test_excluded_middle_fails():
     assert not is_tautology(parse_formula("X1 | ~X1"), 1)
-    assert is_tautology(parse_formula("X1 | ~X1"), 1, Logic.finite(2))
+    assert is_tautology(parse_formula("X1 | ~X1"), 1, Logic(2))
 
 
 def test_double_negation_elimination_by_logic():
     f = parse_formula("~~X1 -> X1")
     assert grid_tautology_oracle(f, 1, 2)
     assert not grid_tautology_oracle(f, 1, 3)
-    assert is_tautology(f, 1, Logic.finite(2))
-    assert not is_tautology(f, 1, Logic.finite(3))
+    assert is_tautology(f, 1, Logic(2))
+    assert not is_tautology(f, 1, Logic(3))
     assert not is_tautology(f, 1)
 
 
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_linearity_scheme_valid_exactly_up_to_its_rank(t):
     f = lin_instance(t)
-    assert is_tautology(f, t, Logic.finite(t))
+    assert is_tautology(f, t, Logic(t))
     assert grid_tautology_oracle(f, t, t)
     if t + 1 <= 5:
-        assert not is_tautology(f, t, Logic.finite(t + 1))
+        assert not is_tautology(f, t, Logic(t + 1))
     assert not is_tautology(f, t, GINF)
 
 
@@ -182,7 +182,7 @@ def test_forest_decision_agrees_with_grid_oracle():
     for _ in range(80):
         f = random_formula(rng, 3, 5)
         for t in (2, 3, 4, 5):
-            assert is_tautology(f, 3, Logic.finite(t)) == grid_tautology_oracle(
+            assert is_tautology(f, 3, Logic(t)) == grid_tautology_oracle(
                 f, 3, t
             ), (f, t)
 
@@ -192,7 +192,7 @@ def test_infinite_tautology_implies_every_finite_one():
     for _ in range(120):
         f = random_formula(rng, 3, 5)
         if is_tautology(f, 3):
-            assert all(is_tautology(f, 3, Logic.finite(t)) for t in (2, 3, 4, 5))
+            assert all(is_tautology(f, 3, Logic(t)) for t in (2, 3, 4, 5))
 
 
 def test_compositionality_on_forests():
@@ -251,7 +251,7 @@ def test_proves_relations():
     assert proves_equiv(parse_formula("X1 & X2"), parse_formula("X2 & X1"), 2)
     assert not proves_equiv(parse_formula("X1"), parse_formula("~~X1"), 1)
     # boolean logic collapses double negation
-    assert proves_equiv(parse_formula("X1"), parse_formula("~~X1"), 1, Logic.finite(2))
+    assert proves_equiv(parse_formula("X1"), parse_formula("~~X1"), 1, Logic(2))
     assert proves_implies(parse_formula("X1"), parse_formula("~~X1"), 1)
     assert not proves_implies(parse_formula("~~X1"), parse_formula("X1"), 1)
 

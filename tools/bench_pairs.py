@@ -15,7 +15,9 @@ For every end-to-end metric in BENCHMARK.json the output holds each side's
 values, median and quartiles (statistics.quantiles, n=4, as
 perfbench/baseline.json uses), the number of pairs the change wins (ties
 count for neither side), and whether the medians differ by more than the
-parent's interquartile range.  With --trace-seed, one traced run per side
+parent's interquartile range.  Each side's request counts (`attempted`) are
+summarised the same way, because perfbench's `peak_rss_mb` grows with the
+number of requests a run completes.  With --trace-seed, one traced run per side
 and workload adds the per-layer metrics.  The file is rewritten after every
 run, so an interrupted run keeps what it measured.
 """
@@ -127,6 +129,8 @@ def main(argv: list[str] | None = None) -> int:
                              [r[name] for r in runs["change"]], spec["better"])}
             for name, spec in end_to_end.items()
         }
+        entry["attempted"] = compare([r["attempted"] for r in runs["parent"]],
+                                     [r["attempted"] for r in runs["change"]], "higher")
         if args.trace_seed is not None:
             entry[f"traced_seed{args.trace_seed}"] = {
                 side: {k: v["value"] for k, v in run_once(
