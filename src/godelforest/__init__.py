@@ -30,10 +30,6 @@ from .forest import (
     enumerate_forest,
     full_subforest,
     generating_subforest,
-    in_ruspini_forest,
-    in_truncated_forest,
-    in_two_overlap_forest,
-    is_leaf,
     is_ruspini_leaf,
     is_ruspini_subforest,
     leq,
@@ -79,7 +75,6 @@ from .axioms import (
     ordered_bell,
     overlap_axiom,
     ruspini_axiom,
-    stirling2,
     synthesize_partition,
 )
 from .exports import (

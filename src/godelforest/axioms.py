@@ -15,14 +15,12 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .formulas import And, Bot, Formula, Iff, Implies, Lhd, Not, Or, Top, Var
 from .forest import (
     AssignmentClass,
     Subforest,
-    class_key,
     downset,
     enumerate_forest,
     is_ruspini_leaf,
@@ -130,16 +128,6 @@ def overlap_axiom(n: int) -> Formula:
         for i, j, k in itertools.combinations(range(1, n + 1), 3)
     ]
     return conjunction(terms)
-
-
-@lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-set into k nonempty classes."""
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
 def ordered_bell(n: int) -> int:
@@ -266,7 +254,7 @@ def analyze(p: Partition) -> AnalysisReport:
     with the proof check run entirely inside the 4-valued logic.
     """
     forest = enumerate_forest(p.n)
-    realized = sorted(realized_classes(p), key=class_key)
+    realized = realized_classes(p)
     fp = downset(forest, realized)
     alpha = axiomatize_subforest(fp)
     tau = overlap_axiom(p.n)
@@ -287,9 +275,7 @@ def analyze(p: Partition) -> AnalysisReport:
     overlap_proof = proves_implies(alpha, tau, p.n, g4)
 
     combined_direct = ruspini_direct and overlap_direct
-    combined_forest = ruspini_forest_check and fp.issubset(
-        two_overlap_subforest(forest)
-    )
+    combined_forest = ruspini_forest_check and overlap_forest_check
     combined_proof = is_tautology(
         And(Iff(alpha, eq_rhs), Implies(alpha, tau)), p.n, g4
     )

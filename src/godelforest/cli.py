@@ -29,6 +29,7 @@ from .exports import (
     subforest_to_json,
 )
 from .forest import (
+    MAX_FOREST_VARIABLES,
     class_of_values,
     downset,
     enumerate_forest,
@@ -50,6 +51,16 @@ from .semantics import (
     proves_equiv,
 )
 
+#: Largest n whose forest `forest` exports: the n = 8 export needs gigabytes
+#: of memory (a 2.9 GB peak as JSON), though `analyze` and `taut` build that
+#: forest.
+MAX_EXPORT_VARIABLES = 7
+
+#: Largest n per `count --kind` whose exact count is computed and printed in
+#: about 2 s (x86_64, Python 3.11.7).  Printing time grows with the square of
+#: the digit count: `weak-ruspini` at n = 9 has 4,266,956 digits.
+COUNT_MAX_N = {"leaves": 4000, "weak-ruspini": 8, "overlap2": 850}
+
 
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
@@ -65,6 +76,11 @@ def _load_partition(path: str):
 
 
 def _cmd_forest(args: argparse.Namespace) -> int:
+    if MAX_EXPORT_VARIABLES < args.n <= MAX_FOREST_VARIABLES:
+        raise ValueError(
+            f"forest export supports n <= {MAX_EXPORT_VARIABLES}: "
+            f"the n = {args.n} export needs gigabytes of memory"
+        )
     forest = enumerate_forest(args.n)
     if args.kind == "fn":
         sub = full_subforest(forest)
@@ -166,6 +182,12 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    limit = COUNT_MAX_N[args.kind]
+    if args.n > limit:
+        raise ValueError(
+            f"count --kind {args.kind} supports n <= {limit}: "
+            f"the n = {args.n} count takes too long to print"
+        )
     if args.kind == "leaves":
         count = count_leaves(args.n)
     elif args.kind == "weak-ruspini":

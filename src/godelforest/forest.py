@@ -82,11 +82,6 @@ class AssignmentClass:
             self.n, self.zero, self.mid[:-1], tuple(sorted(self.one + self.mid[-1]))
         )
 
-    def root(self) -> "AssignmentClass":
-        """The Boolean class at the bottom of this class's tree."""
-        merged = self.one + tuple(v for b in self.mid for v in b)
-        return _class(self.n, self.zero, (), tuple(sorted(merged)))
-
     def downward_chain(self) -> Iterator["AssignmentClass"]:
         """This class, its parent, and so on down to the root."""
         node: Optional[AssignmentClass] = self
@@ -166,25 +161,6 @@ def leq(a: AssignmentClass, b: AssignmentClass) -> bool:
     return a.mid == b.mid[: len(a.mid)]
 
 
-def is_leaf(c: AssignmentClass) -> bool:
-    """Maximal in the full forest: no variable sits at 1."""
-    return not c.one
-
-
-def in_ruspini_forest(c: AssignmentClass) -> bool:
-    """Membership in the forest left after removing the all-zero class and
-    the classes with a single variable in (0, 1) and the rest at 0."""
-    if not c.mid:
-        return len(c.zero) != c.n
-    lonely = (
-        len(c.zero) == c.n - 1
-        and len(c.mid) == 1
-        and len(c.mid[0]) == 1
-        and not c.one
-    )
-    return not lonely
-
-
 def is_ruspini_leaf(c: AssignmentClass) -> bool:
     """Maximal element of the Ruspini forest: either exactly one variable at
     1 and the rest at 0, or no variable at 1 and at least two positive."""
@@ -193,31 +169,12 @@ def is_ruspini_leaf(c: AssignmentClass) -> bool:
     return not c.one and c.positive_count >= 2
 
 
-def in_two_overlap_forest(c: AssignmentClass) -> bool:
-    """At most two variables strictly positive (trees of height <= 3)."""
-    return c.positive_count <= 2
-
-
-def in_truncated_forest(c: AssignmentClass, t: int) -> bool:
-    """Membership in the height-(t-1) truncation used by t-valued logic."""
-    if t < 2:
-        raise ValueError(f"a finite-valued logic needs t >= 2, got {t}")
-    return c.depth <= t - 1
-
-
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _flags_to_mask(flags: bytearray) -> int:
     """Bitmask with bit i set where flags[i] is 1, built in linear time."""
     return int(flags.translate(_DIGITS)[::-1], 2)
-
-
-def _mask_of(ids: Iterable[int], size: int) -> int:
-    flags = bytearray(size)
-    for i in ids:
-        flags[i] = 1
-    return _flags_to_mask(flags)
 
 
 def _bits(mask: int) -> list[int]:
@@ -273,15 +230,27 @@ class Forest:
                 generators[v - 1][i] = 1
         #: generators[i - 1] holds the classes with Xi at 1.
         self.generators = tuple(_flags_to_mask(flags) for flags in generators)
+        # A tree's positive variables are those at 1 in its root, so each
+        # root counts them here by the generators holding it (up to 3).
+        ones = twos = threes = 0
+        for g in self.generators:
+            threes |= twos & g
+            twos |= ones & g
+            ones |= g
+        roots = self._levels[1]
+        #: T_n, the two-overlap forest: the trees with at most two positive
+        #: variables.
+        self.two_overlap = self.full ^ self.upset(roots & threes)
+        #: R_n, the Ruspini forest: all but the all-zero root and the lone
+        #: child of each root with one positive variable.
+        self.ruspini = (
+            self.full ^ (roots & ~ones) ^ (self._levels[2] & self.upset(roots & ones & ~twos))
+        )
 
     @cached_property
     def index(self) -> dict[AssignmentClass, int]:
         """Node id of each class."""
         return {c: i for i, c in enumerate(self.nodes)}
-
-    @cached_property
-    def node_set(self) -> frozenset[AssignmentClass]:
-        return frozenset(self.nodes)
 
     @cached_property
     def children(self) -> dict[AssignmentClass, tuple[AssignmentClass, ...]]:
@@ -297,7 +266,7 @@ class Forest:
 
     @property
     def leaves(self) -> tuple[AssignmentClass, ...]:
-        return tuple(c for c in self.nodes if is_leaf(c))
+        return tuple(c for c in self.nodes if not c.one)
 
     def upset(self, mask: int) -> int:
         """Nodes lying in the subtree of some node of mask.
@@ -413,13 +382,13 @@ class Subforest:
 
     def __init__(self, forest: Forest, members: Iterable[AssignmentClass]) -> None:
         index = forest.index
-        ids = []
+        flags = bytearray(len(forest))
         for c in members:
             i = index.get(c)
             if i is None:
                 raise ValueError(f"class {c} is not a node of the ambient forest")
-            ids.append(i)
-        mask = _mask_of(ids, len(forest))
+            flags[i] = 1
+        mask = _flags_to_mask(flags)
         # A member below a non-member; the lowest one's parent is missing.
         open_ = mask & forest.upset(forest.full ^ mask)
         if open_:
@@ -448,11 +417,6 @@ class Subforest:
     def members(self) -> frozenset[AssignmentClass]:
         nodes = self.forest.nodes
         return frozenset(nodes[i] for i in self.node_ids())
-
-    @property
-    def sorted_members(self) -> tuple[AssignmentClass, ...]:
-        nodes = self.forest.nodes
-        return tuple(nodes[i] for i in self.node_ids())
 
     def leaves(self) -> tuple[AssignmentClass, ...]:
         """Maximal elements, in canonical order."""
@@ -487,9 +451,6 @@ class Subforest:
         self._check_ambient(other)
         return not self.mask & ~other.mask
 
-    def is_full(self) -> bool:
-        return self.mask == self.forest.full
-
     def __contains__(self, c: AssignmentClass) -> bool:
         i = self.forest.index.get(c)
         return i is not None and bool(self.mask >> i & 1)
@@ -515,13 +476,6 @@ def downset(forest: Forest, seeds: Iterable[AssignmentClass]) -> Subforest:
     return Subforest._from_mask(forest, _flags_to_mask(flags))
 
 
-def _where(forest: Forest, keep) -> Subforest:
-    """Subforest of the nodes satisfying a downward-closed predicate."""
-    return Subforest._from_mask(
-        forest, _mask_of((i for i, c in enumerate(forest.nodes) if keep(c)), len(forest))
-    )
-
-
 def empty_subforest(forest: Forest) -> Subforest:
     return Subforest._from_mask(forest, 0)
 
@@ -531,11 +485,11 @@ def full_subforest(forest: Forest) -> Subforest:
 
 
 def ruspini_subforest(forest: Forest) -> Subforest:
-    return _where(forest, in_ruspini_forest)
+    return Subforest._from_mask(forest, forest.ruspini)
 
 
 def two_overlap_subforest(forest: Forest) -> Subforest:
-    return _where(forest, in_two_overlap_forest)
+    return Subforest._from_mask(forest, forest.two_overlap)
 
 
 def truncated_subforest(forest: Forest, t: int) -> Subforest:
@@ -554,8 +508,6 @@ def generating_subforest(i: int, forest: Forest) -> Subforest:
 def is_ruspini_subforest(sub: Subforest) -> bool:
     """Nonempty, inside the Ruspini forest, with every maximal element a
     maximal element of the Ruspini forest."""
-    if not sub.mask:
-        return False
-    if not all(in_ruspini_forest(c) for c in sub.members):
+    if not sub.mask or sub.mask & ~sub.forest.ruspini:
         return False
     return all(is_ruspini_leaf(c) for c in sub.leaves())

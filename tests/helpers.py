@@ -1,5 +1,6 @@
 """Shared test utilities: builders, random generators, brute-force oracles,
 the per-node references the bitmask forest kernel is tested against, the
+class predicates the forest's region masks are tested against, the
 per-assignment reference the packed grid oracle is tested against, and the
 recursive scanner, parser and printer the formula front end is tested
 against."""
@@ -11,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 
 from godelforest import (
     And,
@@ -32,8 +34,8 @@ from godelforest import (
     disjunction,
     downset,
     eval_formula,
+    is_ruspini_leaf,
     ruspini_subforest,
-    stirling2,
 )
 
 
@@ -50,21 +52,30 @@ def _relation_string(sorted_values) -> tuple[str, ...]:
     return tuple("=" if a == b else "<" for a, b in itertools.pairwise(anchored))
 
 
+@cache
+def _sorting_permutations(c: AssignmentClass) -> dict[tuple[int, ...], tuple[str, ...]]:
+    """The permutations that sort c's witness, each with the relation string
+    of the sorted witness."""
+    values = c.representative()
+    found = {}
+    for sigma in itertools.permutations(range(1, c.n + 1)):
+        s = [values[i - 1] for i in sigma]
+        if not any(x > y for x, y in itertools.pairwise(s)):
+            found[sigma] = _relation_string(s)
+    return found
+
+
 def literal_leq(a: AssignmentClass, b: AssignmentClass) -> bool:
     """Order test transcribed directly from the relation-string definition:
     some permutation sorts witnesses of both classes, the relation strings
     agree up to a cut index, and above the cut the lower class has only
     equalities."""
-    va, vb = a.representative(), b.representative()
     n = a.n
-    for sigma in itertools.permutations(range(1, n + 1)):
-        sb = [vb[i - 1] for i in sigma]
-        if any(x > y for x, y in itertools.pairwise(sb)):
+    sorting_a = _sorting_permutations(a)
+    for sigma, rb in _sorting_permutations(b).items():
+        ra = sorting_a.get(sigma)
+        if ra is None:
             continue
-        sa = [va[i - 1] for i in sigma]
-        if any(x > y for x, y in itertools.pairwise(sa)):
-            continue
-        ra, rb = _relation_string(sa), _relation_string(sb)
         for k in range(n + 1):
             if ra[: k + 1] == rb[: k + 1] and all(r == "=" for r in ra[k + 1 :]):
                 return True
@@ -150,6 +161,35 @@ def reference_implies(a: Subforest, b: Subforest) -> frozenset[AssignmentClass]:
     )
 
 
+def reference_in_ruspini_forest(c: AssignmentClass) -> bool:
+    """Membership in the forest left after removing the all-zero class and
+    the classes with a single variable in (0, 1) and the rest at 0."""
+    if not c.mid:
+        return len(c.zero) != c.n
+    lonely = (
+        len(c.zero) == c.n - 1
+        and len(c.mid) == 1
+        and len(c.mid[0]) == 1
+        and not c.one
+    )
+    return not lonely
+
+
+def reference_in_two_overlap_forest(c: AssignmentClass) -> bool:
+    """At most two variables strictly positive (trees of height <= 3)."""
+    return c.positive_count <= 2
+
+
+def reference_is_ruspini_subforest(sub: Subforest) -> bool:
+    """Nonempty, inside the Ruspini forest, with every maximal element a
+    maximal element of the Ruspini forest."""
+    if not sub.mask:
+        return False
+    if not all(reference_in_ruspini_forest(c) for c in sub.members):
+        return False
+    return all(is_ruspini_leaf(c) for c in sub.leaves())
+
+
 def reference_grid_oracle(f: Formula, n: int, t: int) -> bool:
     """Tautology over the t-valued grid by evaluating f at each of the t**n
     assignments in turn, with exact rationals."""
@@ -158,6 +198,16 @@ def reference_grid_oracle(f: Formula, n: int, t: int) -> bool:
         eval_formula(f, values) == 1
         for values in itertools.product(levels, repeat=n)
     )
+
+
+@lru_cache(maxsize=None)
+def stirling2(n: int, k: int) -> int:
+    """Number of partitions of an n-set into k nonempty classes."""
+    if n == 0 and k == 0:
+        return 1
+    if n == 0 or k == 0 or k > n:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
 def reference_ordered_bell(n: int) -> int:

@@ -30,7 +30,6 @@ from godelforest import (
     eval_formula,
     formula_forest,
     grid_tautology_oracle,
-    is_leaf,
     is_ruspini_subforest,
     is_tautology,
     overlap_axiom,
@@ -314,7 +313,7 @@ def test_criterion_11_structural_facts():
         ok &= len(forest.roots) == 2**n
         ok &= all(not r.mid for r in forest.roots)
         height_one = [
-            r for r in forest.roots if not forest.children[r] and is_leaf(r)
+            r for r in forest.roots if not forest.children[r] and not r.one
         ]
         ok &= height_one == [cls(n, zero=range(1, n + 1))]
         ok &= set(forest.leaves) == {c for c in forest.nodes if not c.one}

@@ -38,11 +38,10 @@ from godelforest import (
     proves_implies,
     ruspini_axiom,
     ruspini_subforest,
-    stirling2,
     synthesize_partition,
     two_overlap_subforest,
 )
-from helpers import cls, fr, random_ruspini_subforest, reference_ordered_bell
+from helpers import cls, fr, random_ruspini_subforest, reference_ordered_bell, stirling2
 
 
 def pl(name, *pts):

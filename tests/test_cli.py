@@ -145,6 +145,18 @@ def test_forest_guard(capsys):
     assert code == 1 and "n <= 8" in err
 
 
+def test_forest_refuses_the_n8_export(capsys):
+    started = time.perf_counter()
+    for fmt in ("json", "dot"):
+        code, out, err = run(capsys, "forest", "--n", "8", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: forest export supports n <= 7: "
+            "the n = 8 export needs gigabytes of memory\n"
+        )
+    assert time.perf_counter() - started < 1  # refused before the forest is built
+
+
 def test_analyze_text_and_json(capsys):
     path = str(DATA / "partitions" / "complementary_pair.json")
     code, out, _ = run(capsys, "analyze", path)
@@ -250,6 +262,29 @@ def test_count_leaves_n3000(capsys):
     digits = out.strip()
     assert len(digits) == 9609 and digits.startswith("199881443907")
     assert int(Decimal(digits)) % (10**9 + 7) == 768993799
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [("9", "weak-ruspini"), ("12", "weak-ruspini"), ("2000", "overlap2"), ("20000", "leaves")],
+)
+def test_count_refuses_counts_too_long_to_print(capsys, n, kind):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "count", "--n", n, "--kind", kind)
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: count --kind {kind} supports n <= ")
+    assert err.endswith(f"the n = {n} count takes too long to print\n")
+    assert err.count("\n") == 1
+
+
+def test_count_budget_admits_its_limits(capsys, monkeypatch):
+    from godelforest import cli
+
+    for name in ("count_leaves", "count_weak_ruspini", "count_2overlap_weak_ruspini"):
+        monkeypatch.setattr(cli, name, lambda n: n)
+    for kind, n in (("leaves", 4000), ("weak-ruspini", 8), ("overlap2", 850)):
+        assert run(capsys, "count", "--n", str(n), "--kind", kind) == (0, f"{n}\n", "")
 
 
 def test_count_without_a_digit_limit(capsys, monkeypatch):

@@ -14,9 +14,6 @@ from godelforest import (
     formula_forest,
     full_subforest,
     generating_subforest,
-    in_ruspini_forest,
-    in_truncated_forest,
-    is_leaf,
     is_ruspini_leaf,
     is_ruspini_subforest,
     leq,
@@ -34,7 +31,11 @@ from helpers import (
     grid_classes,
     literal_leq,
     random_subforest,
+    random_ruspini_subforest,
     reference_implies,
+    reference_in_ruspini_forest,
+    reference_in_two_overlap_forest,
+    reference_is_ruspini_subforest,
 )
 
 
@@ -207,7 +208,7 @@ def test_structural_facts():
         assert len(forest.roots) == 2**n
         assert all(not r.mid for r in forest.roots)
         height_one_trees = [
-            r for r in forest.roots if not forest.children[r] and is_leaf(r)
+            r for r in forest.roots if not forest.children[r] and not r.one
         ]
         assert height_one_trees == [cls(n, zero=range(1, n + 1))]
         assert set(forest.leaves) == {c for c in forest.nodes if not c.one}
@@ -239,13 +240,36 @@ def test_ruspini_leaves_are_subforest_maxima():
         sub = ruspini_subforest(enumerate_forest(n))
         assert set(sub.leaves()) == {c for c in sub.members if is_ruspini_leaf(c)}
         assert set(sub.members) == {
-            c for c in enumerate_forest(n).nodes if in_ruspini_forest(c)
+            c for c in enumerate_forest(n).nodes if reference_in_ruspini_forest(c)
         }
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_region_masks_equal_their_reference_predicates(n):
+    forest = enumerate_forest(n)
+    for build, member in (
+        (ruspini_subforest, reference_in_ruspini_forest),
+        (two_overlap_subforest, reference_in_two_overlap_forest),
+    ):
+        assert build(forest).members == frozenset(c for c in forest.nodes if member(c))
+
+
+def test_is_ruspini_subforest_matches_reference():
+    rng = random.Random(2024)
+    verdicts = []
+    for k in range(8000):
+        sub = random_subforest(rng, enumerate_forest(k % 4 + 1))
+        verdicts.append(is_ruspini_subforest(sub))
+        assert verdicts[-1] == reference_is_ruspini_subforest(sub)
+    assert 500 < sum(verdicts) < 7500  # both answers are exercised
+    for k in range(2000):
+        sub = random_ruspini_subforest(rng, enumerate_forest(k % 4 + 1))
+        assert is_ruspini_subforest(sub) and reference_is_ruspini_subforest(sub)
 
 
 def test_two_overlap_forest():
     f2 = enumerate_forest(2)
-    assert two_overlap_subforest(f2).members == f2.node_set
+    assert two_overlap_subforest(f2).members == frozenset(f2.nodes)
     f3 = enumerate_forest(3)
     t3 = two_overlap_subforest(f3)
     assert cls(3, mid=[[1], [2], [3]]) not in t3
@@ -260,7 +284,7 @@ def test_truncated_forest():
     assert deep.depth == 4
     assert all(c.depth <= 3 for c in f34.members)
     with pytest.raises(ValueError):
-        in_truncated_forest(cls(1, one=[1]), 1)
+        truncated_subforest(f3, 1)
 
 
 def test_two_overlap_inside_height_four():
@@ -272,7 +296,7 @@ def test_two_overlap_inside_height_four():
 def test_downset_examples():
     f2 = enumerate_forest(2)
     assert len(downset(f2, [])) == 0
-    assert downset(f2, f2.leaves).members == f2.node_set
+    assert downset(f2, f2.leaves).members == frozenset(f2.nodes)
     c = cls(2, zero=[1], mid=[[2]])
     assert downset(f2, [c]).members == frozenset({c, cls(2, zero=[1], one=[2])})
     with pytest.raises(ValueError):

@@ -53,7 +53,7 @@ def test_logic_parsing():
 def test_formula_forest_constants():
     for n in (1, 2, 3):
         forest = enumerate_forest(n)
-        assert formula_forest(Top(), forest).members == forest.node_set
+        assert formula_forest(Top(), forest).members == frozenset(forest.nodes)
         assert formula_forest(Bot(), forest).members == frozenset()
 
 
@@ -261,4 +261,4 @@ def test_truncation_is_depth_cutoff():
     for t in (2, 3, 4, 5):
         sub = truncated_subforest(forest, t)
         assert sub.members == frozenset(c for c in forest.nodes if c.depth <= t - 1)
-    assert truncated_subforest(forest, 5).members == forest.node_set
+    assert truncated_subforest(forest, 5).members == frozenset(forest.nodes)
