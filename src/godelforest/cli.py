@@ -52,14 +52,9 @@ from .semantics import (
 )
 
 #: Largest n whose forest `forest` exports: the n = 8 export needs gigabytes
-#: of memory (a 2.9 GB peak as JSON), though `analyze` and `taut` build that
-#: forest.
+#: of memory (a 2.9 GB peak as JSON).  `taut` and `equiv` decide at n = 8 on
+#: the forest's masks without building its classes; `analyze` builds them.
 MAX_EXPORT_VARIABLES = 7
-
-#: Largest n per `count --kind` whose exact count is computed and printed in
-#: about 2 s (x86_64, Python 3.11.7).  Printing time grows with the square of
-#: the digit count: `weak-ruspini` at n = 9 has 4,266,956 digits.
-COUNT_MAX_N = {"leaves": 4000, "weak-ruspini": 8, "overlap2": 850}
 
 
 def _load_json(path: str) -> object:
@@ -182,12 +177,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    limit = COUNT_MAX_N[args.kind]
-    if args.n > limit:
-        raise ValueError(
-            f"count --kind {args.kind} supports n <= {limit}: "
-            f"the n = {args.n} count takes too long to print"
-        )
     if args.kind == "leaves":
         count = count_leaves(args.n)
     elif args.kind == "weak-ruspini":

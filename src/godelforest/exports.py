@@ -34,44 +34,42 @@ def class_from_json(obj: object, n: int) -> AssignmentClass:
     return AssignmentClass(n, tuple(zero), tuple(tuple(b) for b in mid), tuple(one))
 
 
+def _members_and_parents(sub: Subforest) -> tuple[list[AssignmentClass], list[int | None]]:
+    """Members in canonical order, and each one's parent by position (None
+    for a root)."""
+    nodes = sub.forest.nodes
+    members = [nodes[i] for i in sub.node_ids()]
+    # Members are downward closed and in preorder, so a member's parent is
+    # the last member seen one level up.
+    parents, last_at_depth = [], []
+    for k, c in enumerate(members):
+        del last_at_depth[len(c.mid) :]
+        parents.append(last_at_depth[-1] if last_at_depth else None)
+        last_at_depth.append(k)
+    return members, parents
+
+
 def subforest_to_json(sub: Subforest) -> dict:
     """Nodes in canonical order with parent links by node id."""
-    forest = sub.forest
-    ids = sub.node_ids()
-    position = {i: k for k, i in enumerate(ids)}
-    nodes = []
-    for k, i in enumerate(ids):
-        c, parent = forest.nodes[i], forest.parent[i]
-        entry = class_to_json(c)
-        entry["id"] = k
-        entry["label"] = c.chain_string()
-        entry["parent"] = position[parent] if parent >= 0 else None
-        nodes.append(entry)
-    return {"n": forest.n, "count": len(ids), "nodes": nodes}
+    members, parents = _members_and_parents(sub)
+    nodes = [
+        dict(class_to_json(c), id=k, label=c.chain_string(), parent=parent)
+        for k, (c, parent) in enumerate(zip(members, parents))
+    ]
+    return {"n": sub.forest.n, "count": len(nodes), "nodes": nodes}
 
 
 def subforest_to_dot(sub: Subforest) -> str:
     """One digraph per tree; nodes are labeled with their chain strings."""
-    forest = sub.forest
-    ids = sub.node_ids()
-    position = {i: k for k, i in enumerate(ids)}
-    # Members are downward closed and in preorder, so each tree is a run
-    # of ids that starts at its root.
-    trees: list[list[int]] = []
-    for i in ids:
-        if forest.parent[i] < 0:
-            trees.append([])
-        trees[-1].append(i)
+    members, parents = _members_and_parents(sub)
+    # Each tree is a run of members that starts at its root.
+    starts = [k for k, parent in enumerate(parents) if parent is None] + [len(members)]
     lines: list[str] = []
-    for t, tree in enumerate(trees):
+    for t, (a, b) in enumerate(zip(starts, starts[1:])):
         lines.append(f"digraph tree_{t} {{")
         lines.append("  node [shape=box];")
-        for i in tree:
-            lines.append(f'  n{position[i]} [label="{forest.nodes[i].chain_string()}"];')
-        for i in tree:
-            parent = forest.parent[i]
-            if parent >= 0:
-                lines.append(f"  n{position[parent]} -> n{position[i]};")
+        lines.extend(f'  n{k} [label="{members[k].chain_string()}"];' for k in range(a, b))
+        lines.extend(f"  n{parents[k]} -> n{k};" for k in range(a + 1, b))
         lines.append("}")
     return "\n".join(lines) + "\n"
 

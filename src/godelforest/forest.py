@@ -8,9 +8,11 @@ obtained by collapsing a top segment of the other's value chain to 1.  The
 poset is a forest (the ancestors of any node form a chain), its roots are the
 Boolean classes, and its downward-closed subsets carry a Goedel algebra.
 
-A forest is held as flat arrays over node ids numbered in preorder, so every
-subtree is an interval of ids, and a subforest is one int bitmask over those
-ids: meet is `&`, join is `|`, and implication fills subtree intervals.
+A forest is held as int bitmasks over node ids numbered in preorder, so every
+subtree is an interval of ids: one mask per depth and one per generator, each
+built by concatenating the masks of smaller trees.  A subforest is one such
+mask: meet is `&`, join is `|`, and implication fills subtree intervals.  The
+classes themselves are built only when asked for.
 """
 
 from __future__ import annotations
@@ -81,13 +83,6 @@ class AssignmentClass:
         return _class(
             self.n, self.zero, self.mid[:-1], tuple(sorted(self.one + self.mid[-1]))
         )
-
-    def downward_chain(self) -> Iterator["AssignmentClass"]:
-        """This class, its parent, and so on down to the root."""
-        node: Optional[AssignmentClass] = self
-        while node is not None:
-            yield node
-            node = node.parent()
 
     def representative(self) -> tuple[Fraction, ...]:
         """Canonical witness: 0 and 1 blocks as written, the i-th of k mid
@@ -188,48 +183,34 @@ def _bits(mask: int) -> list[int]:
 
 
 class Forest:
-    """All assignment classes over n variables, as flat arrays over node ids.
+    """All assignment classes over n variables, as bitmasks over node ids.
 
-    Node i is `nodes[i]`.  Ids follow `class_key` order, which is a preorder:
-    `parent[i]` is the id of the node's parent (-1 for a root), `depth[i]`
-    its depth, and its subtree is the id interval [i, end[i]).  A set of
-    nodes is a Python int used as a bitmask, bit i standing for node i; the
-    masks held here are built once per forest, in linear time.
+    Node i is `nodes[i]`.  Ids follow `class_key` order, which is a preorder,
+    so every subtree is an interval of ids.  A set of nodes is a Python int
+    used as a bitmask, bit i standing for node i.  The depth and generator
+    masks are built by concatenating per-shape tree masks; the classes and
+    their index are built on first use.
 
     Instances are immutable once built; use :func:`enumerate_forest`.
     """
 
-    def __init__(
-        self,
-        n: int,
-        nodes: Sequence[AssignmentClass],
-        parent: Sequence[int],
-        end: Sequence[int],
-        depth: Sequence[int],
-    ) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.nodes: tuple[AssignmentClass, ...] = tuple(nodes)
-        self.parent = tuple(parent)
-        self.end = tuple(end)
-        self.depth = tuple(depth)
-        size = len(self.nodes)
+        # The roots are the Boolean classes, one per zero set, in order.
+        universe = tuple(range(n))
+        root_ones = (universe, *(rest for _, rest in _splits(universe)))
+        levels, generators = [0] * (n + 2), [0] * n
+        size = _place(_tree_masks(n), root_ones, levels, 1, generators, 0)
         self.full = (1 << size) - 1
-        levels = [bytearray(size) for _ in range(n + 2)]
-        for i, d in enumerate(self.depth):
-            levels[d][i] = 1
         #: _levels[d] holds the nodes of depth d, _deeper[d] those below it.
-        self._levels = tuple(_flags_to_mask(flags) for flags in levels)
+        self._levels = tuple(levels)
         deeper, below = [0] * (n + 2), 0
         for d in range(n + 1, -1, -1):
             deeper[d] = below
-            below |= self._levels[d]
+            below |= levels[d]
         self._deeper = tuple(deeper)
-        generators = [bytearray(size) for _ in range(n)]
-        for i, c in enumerate(self.nodes):
-            for v in c.one:
-                generators[v - 1][i] = 1
         #: generators[i - 1] holds the classes with Xi at 1.
-        self.generators = tuple(_flags_to_mask(flags) for flags in generators)
+        self.generators = tuple(generators)
         # A tree's positive variables are those at 1 in its root, so each
         # root counts them here by the generators holding it (up to 3).
         ones = twos = threes = 0
@@ -248,25 +229,26 @@ class Forest:
         )
 
     @cached_property
+    def nodes(self) -> tuple[AssignmentClass, ...]:
+        """The classes in id order: each tree depth first, children in
+        lexicographic order of the block they split off."""
+        n = self.n
+        nodes: list[AssignmentClass] = []
+
+        def grow(zero: tuple, mid: tuple, one: tuple) -> None:
+            nodes.append(_class(n, zero, mid, one))
+            for block, rest in _splits(one):
+                grow(zero, mid + (block,), rest)
+
+        universe = tuple(range(1, n + 1))
+        for zero, one in (((), universe), *_splits(universe)):
+            grow(zero, (), one)
+        return tuple(nodes)
+
+    @cached_property
     def index(self) -> dict[AssignmentClass, int]:
         """Node id of each class."""
         return {c: i for i, c in enumerate(self.nodes)}
-
-    @cached_property
-    def children(self) -> dict[AssignmentClass, tuple[AssignmentClass, ...]]:
-        kids: dict[AssignmentClass, list[AssignmentClass]] = {c: [] for c in self.nodes}
-        for c, p in zip(self.nodes, self.parent):
-            if p >= 0:
-                kids[self.nodes[p]].append(c)
-        return {c: tuple(k) for c, k in kids.items()}
-
-    @cached_property
-    def roots(self) -> tuple[AssignmentClass, ...]:
-        return tuple(c for c, p in zip(self.nodes, self.parent) if p < 0)
-
-    @property
-    def leaves(self) -> tuple[AssignmentClass, ...]:
-        return tuple(c for c in self.nodes if not c.one)
 
     def upset(self, mask: int) -> int:
         """Nodes lying in the subtree of some node of mask.
@@ -290,16 +272,15 @@ class Forest:
 
     def truncation(self, t: int) -> int:
         """Mask of the height-(t-1) truncation used by t-valued logic."""
+        if t < 2:
+            raise ValueError(f"a finite-valued logic needs t >= 2, got {t}")
         return self.full ^ self._deeper[min(t - 1, self.n + 1)]
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __contains__(self, c: AssignmentClass) -> bool:
-        return c in self.index
+        return self.full.bit_length()
 
     def __repr__(self) -> str:
-        return f"Forest(n={self.n}, nodes={len(self.nodes)})"
+        return f"Forest(n={self.n}, nodes={len(self)})"
 
 
 _SET_N, _SET_ZERO, _SET_MID, _SET_ONE, _SET_CHAIN = (
@@ -328,42 +309,64 @@ def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_forest(n: int) -> Forest:
-    """Build the full forest over n variables (guarded, n <= 8).
+def _splits(items: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each nonempty subset of a sorted tuple, in lexicographic order, with
+    the items outside it."""
+    return tuple(
+        (block, tuple(x for x in items if x not in block)) for block in _lex_subsets(items)
+    )
 
-    Trees are emitted in order of their zero blocks and each tree depth
-    first, children in lexicographic order of the block they split off:
-    that is `class_key` order.
+
+_TreeMasks = tuple[int, list[int], list[int]]
+
+
+def _place(
+    trees: list[_TreeMasks],
+    ones: Iterable[tuple[int, ...]],
+    levels: list[int],
+    depth: int,
+    generators: list[int],
+    size: int,
+) -> int:
+    """Append to the masks, from node id `size` on, one tree per tuple of
+    `ones` (the generators at 1 in its root, which sits at `depth`), and
+    return the new size.  `trees[m]` holds the size, depth masks (root
+    first) and per-position generator masks of a tree whose root has m
+    variables at 1: its shape depends only on m."""
+    for one in ones:
+        tree_size, tree_levels, tree_generators = trees[len(one)]
+        for d, mask in enumerate(tree_levels, start=depth):
+            levels[d] |= mask << size
+        for g, mask in zip(one, tree_generators):
+            generators[g] |= mask << size
+        size += tree_size
+    return size
+
+
+def _tree_masks(n: int) -> list[_TreeMasks]:
+    """Masks of the trees whose roots have m = 0..n variables at 1.
+
+    The root comes first, then its children's subtrees, one per nonempty
+    block of its 1-variables in `_splits` order; the child keeps the rest at
+    1.
     """
+    trees: list[_TreeMasks] = []
+    for m in range(n + 1):
+        positions = tuple(range(m))
+        levels, generators = [1] + [0] * m, [1] * m
+        rests = (rest for _, rest in _splits(positions))
+        trees.append((_place(trees, rests, levels, 1, generators, 1), levels, generators))
+    return trees
+
+
+@lru_cache(maxsize=None)
+def enumerate_forest(n: int) -> Forest:
+    """The full forest over n variables (guarded, n <= 8)."""
     if not 1 <= n <= MAX_FOREST_VARIABLES:
         raise ValueError(
             f"forest enumeration supports 1 <= n <= {MAX_FOREST_VARIABLES}, got {n}"
         )
-    universe = tuple(range(1, n + 1))
-    splits: dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    nodes: list[AssignmentClass] = []
-    parent: list[int] = []
-    end: list[int] = []
-    depth: list[int] = []
-
-    def grow(zero: tuple, mid: tuple, one: tuple, up: int) -> None:
-        i = len(nodes)
-        nodes.append(_class(n, zero, mid, one))
-        parent.append(up)
-        end.append(0)
-        depth.append(len(mid) + 1)
-        if one not in splits:
-            splits[one] = [
-                (block, tuple(x for x in one if x not in block))
-                for block in _lex_subsets(one)
-            ]
-        for block, rest in splits[one]:
-            grow(zero, mid + (block,), rest, i)
-        end[i] = len(nodes)
-
-    for zero in ((), *_lex_subsets(universe)):
-        grow(zero, (), tuple(x for x in universe if x not in zero), -1)
-    return Forest(n, nodes, parent, end, depth)
+    return Forest(n)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -422,12 +425,12 @@ class Subforest:
         """Maximal elements, in canonical order."""
         # In preorder a member has a member child iff the next member is
         # deeper than it.
-        nodes, depth = self.forest.nodes, self.forest.depth
-        ids = self.node_ids()
+        nodes = self.forest.nodes
+        members = [nodes[i] for i in self.node_ids()]
         return tuple(
-            nodes[i]
-            for i, j in zip(ids, ids[1:] + [-1])
-            if j < 0 or depth[j] <= depth[i]
+            c
+            for c, d in zip(members, members[1:] + [None])
+            if d is None or len(d.mid) <= len(c.mid)
         )
 
     def meet(self, other: "Subforest") -> "Subforest":
@@ -443,9 +446,6 @@ class Subforest:
         return Subforest._from_mask(
             self.forest, self.forest.implies(self.mask, other.mask)
         )
-
-    def negate(self) -> "Subforest":
-        return self.implies(empty_subforest(self.forest))
 
     def issubset(self, other: "Subforest") -> bool:
         self._check_ambient(other)
@@ -464,15 +464,18 @@ class Subforest:
 
 def downset(forest: Forest, seeds: Iterable[AssignmentClass]) -> Subforest:
     """Smallest downward-closed superset of the seeds."""
-    index, parent = forest.index, forest.parent
+    index = forest.index
     flags = bytearray(len(forest))
     for seed in seeds:
-        i = index.get(seed)
+        c, i = seed, index.get(seed)
         if i is None:
             raise ValueError(f"class {seed} is not a node of the forest")
-        while i >= 0 and not flags[i]:
+        while not flags[i]:
             flags[i] = 1
-            i = parent[i]
+            c = c.parent()
+            if c is None:
+                break
+            i = index[c]
     return Subforest._from_mask(forest, _flags_to_mask(flags))
 
 
@@ -493,8 +496,6 @@ def two_overlap_subforest(forest: Forest) -> Subforest:
 
 
 def truncated_subforest(forest: Forest, t: int) -> Subforest:
-    if t < 2:
-        raise ValueError(f"a finite-valued logic needs t >= 2, got {t}")
     return Subforest._from_mask(forest, forest.truncation(t))
 
 

@@ -1,5 +1,6 @@
 """Shared test utilities: builders, random generators, brute-force oracles,
-the per-node references the bitmask forest kernel is tested against, the
+the class-building forest the mask-built forest is tested against, the
+per-node references the bitmask forest kernel is tested against, the
 class predicates the forest's region masks are tested against, the
 per-assignment reference the packed grid oracle is tested against, and the
 recursive scanner, parser and printer the formula front end is tested
@@ -12,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from godelforest import (
     And,
@@ -37,6 +38,7 @@ from godelforest import (
     is_ruspini_leaf,
     ruspini_subforest,
 )
+from godelforest.forest import _class
 
 
 def fr(v) -> Fraction:
@@ -157,8 +159,88 @@ def reference_implies(a: Subforest, b: Subforest) -> frozenset[AssignmentClass]:
     return frozenset(
         q
         for q in a.forest.nodes
-        if all(c not in am or c in bm for c in q.downward_chain())
+        if all(c not in am or c in bm for c in downward_chain(q))
     )
+
+
+def downward_chain(c: AssignmentClass):
+    """c, its parent, and so on down to its root."""
+    while c is not None:
+        yield c
+        c = c.parent()
+
+
+@cache
+def _reference_lex_subsets(items: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Nonempty subsets of a sorted tuple in lexicographic order."""
+    return sorted(
+        s for k in range(1, len(items) + 1) for s in itertools.combinations(items, k)
+    )
+
+
+def _reference_mask(flags) -> int:
+    """Bitmask with bit i set where flags[i] is true."""
+    return int("".join("1" if f else "0" for f in reversed(flags)), 2)
+
+
+class ReferenceForest:
+    """The class-building forest the mask-built `Forest` replaced: every
+    class in `class_key` preorder, with per-node arrays (parent id, or -1
+    for a root; subtree end; depth) and the masks derived from them by loops
+    over the nodes."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.nodes: list[AssignmentClass] = []
+        self.parent: list[int] = []
+        self.end: list[int] = []
+        self.depth: list[int] = []
+
+        def grow(zero: tuple, mid: tuple, one: tuple, up: int) -> None:
+            i = len(self.nodes)
+            self.nodes.append(_class(n, zero, mid, one))
+            self.parent.append(up)
+            self.end.append(0)
+            self.depth.append(len(mid) + 1)
+            for block in _reference_lex_subsets(one):
+                grow(zero, mid + (block,), tuple(x for x in one if x not in block), i)
+            self.end[i] = len(self.nodes)
+
+        universe = tuple(range(1, n + 1))
+        for zero in ((), *_reference_lex_subsets(universe)):
+            grow(zero, (), tuple(x for x in universe if x not in zero), -1)
+        size = len(self.nodes)
+        self.full = (1 << size) - 1
+        levels = [bytearray(size) for _ in range(n + 2)]
+        for i, d in enumerate(self.depth):
+            levels[d][i] = 1
+        self._levels = tuple(_reference_mask(flags) for flags in levels)
+        generators = [bytearray(size) for _ in range(n)]
+        for i, c in enumerate(self.nodes):
+            for v in c.one:
+                generators[v - 1][i] = 1
+        self.generators = tuple(_reference_mask(flags) for flags in generators)
+        self.ruspini = _reference_mask([reference_in_ruspini_forest(c) for c in self.nodes])
+        self.two_overlap = _reference_mask(
+            [reference_in_two_overlap_forest(c) for c in self.nodes]
+        )
+
+    @cached_property
+    def children(self) -> dict[AssignmentClass, tuple[AssignmentClass, ...]]:
+        kids: dict[AssignmentClass, list[AssignmentClass]] = {c: [] for c in self.nodes}
+        for c, p in zip(self.nodes, self.parent):
+            if p >= 0:
+                kids[self.nodes[p]].append(c)
+        return {c: tuple(k) for c, k in kids.items()}
+
+    @cached_property
+    def roots(self) -> tuple[AssignmentClass, ...]:
+        return tuple(c for c, p in zip(self.nodes, self.parent) if p < 0)
+
+
+@lru_cache(maxsize=None)
+def reference_forest(n: int) -> ReferenceForest:
+    return ReferenceForest(n)
 
 
 def reference_in_ruspini_forest(c: AssignmentClass) -> bool:

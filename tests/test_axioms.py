@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from godelforest import (
+    Forest,
     GINF,
     And,
     Bot,
@@ -41,6 +43,7 @@ from godelforest import (
     synthesize_partition,
     two_overlap_subforest,
 )
+from godelforest.axioms import COUNT_MAX_N
 from helpers import cls, fr, random_ruspini_subforest, reference_ordered_bell, stirling2
 
 
@@ -155,6 +158,20 @@ def test_overlap_axiom_shape_and_forest():
         )
 
 
+def test_paper_identities_at_scale_on_masks_only():
+    # The value-1 sets of rho_n and tau_n are R_n and T_n, and the full
+    # forest has count_leaves(n) maximal classes: those with nothing at 1.
+    for n in range(5, 9):
+        forest = Forest(n)
+        assert formula_forest(ruspini_axiom(n), forest).mask == forest.ruspini
+        assert formula_forest(overlap_axiom(n), forest).mask == forest.two_overlap
+        some_one = 0
+        for g in forest.generators:
+            some_one |= g
+        assert (forest.full & ~some_one).bit_count() == count_leaves(n)
+        assert "nodes" not in forest.__dict__
+
+
 def test_counting_formulas():
     assert [count_leaves(n) for n in range(1, 6)] == [2, 6, 26, 150, 1082]
     assert [ordered_bell(n) for n in range(1, 6)] == [1, 3, 13, 75, 541]
@@ -165,6 +182,34 @@ def test_counting_formulas():
     assert count_weak_ruspini(3) == 2**25 - 1
     with pytest.raises(ValueError):
         count_leaves(0)
+
+
+@pytest.mark.parametrize(
+    "count, kind, n",
+    [
+        (count_leaves, "leaves", 4001),
+        (count_leaves, "leaves", 20000),
+        (count_weak_ruspini, "weak-ruspini", 9),
+        (count_weak_ruspini, "weak-ruspini", 12),
+        (count_2overlap_weak_ruspini, "overlap2", 851),
+        (count_2overlap_weak_ruspini, "overlap2", 2000),
+    ],
+)
+def test_counts_refuse_n_past_their_budget(count, kind, n):
+    message = f"^the {kind} count supports n <= {COUNT_MAX_N[kind]}: "
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        count(n)
+    assert time.perf_counter() - started < 1
+
+
+def test_count_budget_admits_its_limits():
+    assert COUNT_MAX_N == {"leaves": 4000, "weak-ruspini": 8, "overlap2": 850}
+    for value, bits in (
+        (count_weak_ruspini(8), count_leaves(8) - 1),
+        (count_2overlap_weak_ruspini(850), (3 * 850 * 850 - 850) // 2),
+    ):
+        assert value == (1 << bits) - 1
 
 
 def test_ordered_bell_matches_the_stirling_sum():

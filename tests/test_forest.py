@@ -27,11 +27,13 @@ from godelforest import (
 )
 from helpers import (
     cls,
+    downward_chain,
     fr,
     grid_classes,
     literal_leq,
     random_subforest,
     random_ruspini_subforest,
+    reference_forest,
     reference_implies,
     reference_in_ruspini_forest,
     reference_in_two_overlap_forest,
@@ -141,21 +143,41 @@ def test_leq_matches_literal_definition_n4():
 def test_enumerate_small_forests():
     f1 = enumerate_forest(1)
     assert len(f1) == 3
-    assert len(f1.roots) == 2
-    assert len(f1.leaves) == 2
+    assert len(reference_forest(1).roots) == 2
+    assert len(full_subforest(f1).leaves()) == 2
     assert set(f1.nodes) == {cls(1, zero=[1]), cls(1, one=[1]), cls(1, mid=[[1]])}
 
     f2 = enumerate_forest(2)
     assert len(f2) == 11
-    assert len(f2.roots) == 4
-    assert len(f2.leaves) == 6
+    assert len(reference_forest(2).roots) == 4
+    assert len(full_subforest(f2).leaves()) == 6
 
-    assert len(enumerate_forest(3).leaves) == 26
+    assert len(full_subforest(enumerate_forest(3)).leaves()) == 26
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumerate_matches_grid_sampling(n):
     assert set(enumerate_forest(n).nodes) == grid_classes(n, n + 2)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_masks_equal_the_class_building_reference(n):
+    forest, ref = enumerate_forest(n), reference_forest(n)
+    for name in ("full", "_levels", "generators", "ruspini", "two_overlap"):
+        assert getattr(forest, name) == getattr(ref, name), name
+    assert len(forest) == len(ref.nodes)
+    if n <= 6:
+        assert forest.nodes == tuple(ref.nodes)
+
+
+def test_enumerate_forest_keeps_the_benchmark_contract():
+    # perfbench/run.py clears this cache before timing forest builds, and its
+    # tracer counts the nodes built by len(); neither may build the classes.
+    assert callable(enumerate_forest.cache_clear)
+    assert callable(enumerate_forest.cache_info)
+    forest = enumerate_forest(8)
+    assert len(forest) == 2_183_339
+    assert "nodes" not in forest.__dict__
 
 
 def test_enumerate_guard():
@@ -167,8 +189,8 @@ def test_enumerate_guard():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_forest_arrays_are_the_class_key_preorder(n):
-    forest = enumerate_forest(n)
-    nodes = forest.nodes
+    forest = reference_forest(n)
+    nodes = enumerate_forest(n).nodes
     assert list(nodes) == sorted(nodes, key=class_key)
     for i, c in enumerate(nodes):
         p = c.parent()
@@ -204,14 +226,14 @@ def test_classes_are_slotted_and_cache_their_label():
 
 def test_structural_facts():
     for n in (1, 2, 3, 4):
-        forest = enumerate_forest(n)
-        assert len(forest.roots) == 2**n
-        assert all(not r.mid for r in forest.roots)
+        forest, ref = enumerate_forest(n), reference_forest(n)
+        assert len(ref.roots) == 2**n
+        assert all(not r.mid for r in ref.roots)
         height_one_trees = [
-            r for r in forest.roots if not forest.children[r] and not r.one
+            r for r in ref.roots if not ref.children[r] and not r.one
         ]
         assert height_one_trees == [cls(n, zero=range(1, n + 1))]
-        assert set(forest.leaves) == {c for c in forest.nodes if not c.one}
+        assert set(full_subforest(forest).leaves()) == {c for c in forest.nodes if not c.one}
         assert max(c.depth for c in forest.nodes) == n + 1
 
 
@@ -287,6 +309,16 @@ def test_truncated_forest():
         truncated_subforest(f3, 1)
 
 
+@pytest.mark.parametrize("t", [1, 0, -5])
+def test_truncation_needs_two_truth_values(t):
+    forest = enumerate_forest(2)
+    message = f"^a finite-valued logic needs t >= 2, got {t}$"
+    with pytest.raises(ValueError, match=message):
+        forest.truncation(t)
+    with pytest.raises(ValueError, match=message):
+        truncated_subforest(forest, t)
+
+
 def test_two_overlap_inside_height_four():
     for n in (1, 2, 3, 4):
         forest = enumerate_forest(n)
@@ -296,7 +328,7 @@ def test_two_overlap_inside_height_four():
 def test_downset_examples():
     f2 = enumerate_forest(2)
     assert len(downset(f2, [])) == 0
-    assert downset(f2, f2.leaves).members == frozenset(f2.nodes)
+    assert downset(f2, full_subforest(f2).leaves()).members == frozenset(f2.nodes)
     c = cls(2, zero=[1], mid=[[2]])
     assert downset(f2, [c]).members == frozenset({c, cls(2, zero=[1], one=[2])})
     with pytest.raises(ValueError):
@@ -315,8 +347,8 @@ def test_subforest_ops_basic_laws():
     empty = empty_subforest(f2)
     some = downset(f2, [cls(2, mid=[[1], [2]])])
     assert some.implies(some).members == full.members
-    assert empty.negate().members == full.members
-    assert full.negate().members == empty.members
+    assert empty.implies(empty_subforest(f2)).members == full.members
+    assert full.implies(empty_subforest(f2)).members == empty.members
     assert some.meet(full).members == some.members
     assert some.join(empty).members == some.members
 
@@ -361,7 +393,7 @@ def test_implies_matches_the_downward_chain_definition():
             assert a.implies(b).members == reference_implies(a, b), (n, a, b)
             assert set(a.leaves()) == {
                 c for c in a.members
-                if not any(k in a.members for k in forest.children[c])
+                if not any(k in a.members for k in reference_forest(n).children[c])
             }
 
 
@@ -425,7 +457,7 @@ def test_order_is_a_partial_order_on_small_forests():
 def test_ancestor_sets_are_chains():
     for n in (1, 2, 3, 4):
         for c in enumerate_forest(n).nodes:
-            chain = list(c.downward_chain())
+            chain = list(downward_chain(c))
             assert chain[0] == c and chain[-1].parent() is None
             for higher, lower in zip(chain, chain[1:]):
                 assert leq(lower, higher) and lower != higher

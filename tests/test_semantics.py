@@ -15,6 +15,7 @@ from godelforest import (
     Top,
     Var,
     disjunction,
+    empty_subforest,
     enumerate_forest,
     eval_formula,
     formula_forest,
@@ -209,7 +210,10 @@ def test_compositionality_on_forests():
                 formula_forest(Implies(a, b), forest).members
                 == fa.implies(fb).members
             )
-            assert formula_forest(Not(a), forest).members == fa.negate().members
+            assert (
+                formula_forest(Not(a), forest).members
+                == fa.implies(empty_subforest(forest)).members
+            )
 
 
 @pytest.mark.parametrize("n,count,depth", [(1, 40, 5), (2, 40, 5), (3, 40, 5),
@@ -254,6 +258,12 @@ def test_proves_relations():
     assert proves_equiv(parse_formula("X1"), parse_formula("~~X1"), 1, Logic(2))
     assert proves_implies(parse_formula("X1"), parse_formula("~~X1"), 1)
     assert not proves_implies(parse_formula("~~X1"), parse_formula("X1"), 1)
+
+
+def test_n8_decisions_read_masks_only():
+    assert is_tautology(parse_formula("(X1 -> X2) | (X2 -> X1)"), 8)
+    assert proves_equiv(parse_formula("X1 & X2"), parse_formula("X2 & X1"), 8)
+    assert "nodes" not in enumerate_forest(8).__dict__
 
 
 def test_truncation_is_depth_cutoff():
