@@ -138,6 +138,8 @@ def ordered_bell(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    if n:
+        _check_count_budget("leaves", n)
     total, c, binom, sign = 0, 1, 1, -1  # c_j, C(n+1, j+1), (-1)**(n-j+1) at j = n
     for j in range(n, -1, -1):
         total += c * j**n

@@ -59,15 +59,15 @@ MAX_EXPORT_VARIABLES = 7
 
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        # The decoder recurses, so deeply nested arrays end in RecursionError.
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _load_partition(path: str):
-    try:
-        obj = _load_json(path)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return partition_from_json(obj)
+    return partition_from_json(_load_json(path))
 
 
 def _cmd_forest(args: argparse.Namespace) -> int:

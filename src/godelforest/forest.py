@@ -44,14 +44,13 @@ class AssignmentClass:
     _chain: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "zero", tuple(sorted(self.zero)))
-        object.__setattr__(self, "mid", tuple(tuple(sorted(b)) for b in self.mid))
-        object.__setattr__(self, "one", tuple(sorted(self.one)))
         if self.n < 1:
             raise ValueError("a class needs at least one variable")
         seen: set[int] = set()
         for block in (self.zero, *self.mid, self.one):
             for v in block:
+                if type(v) is not int:  # bool too: JSON true is not X1
+                    raise ValueError(f"variable index {v!r} is not an integer")
                 if not 1 <= v <= self.n:
                     raise ValueError(f"variable index {v} out of range 1..{self.n}")
                 if v in seen:
@@ -62,6 +61,9 @@ class AssignmentClass:
             raise ValueError(f"blocks do not cover variables {missing}")
         if any(not b for b in self.mid):
             raise ValueError("mid blocks must be nonempty")
+        object.__setattr__(self, "zero", tuple(sorted(self.zero)))
+        object.__setattr__(self, "mid", tuple(tuple(sorted(b)) for b in self.mid))
+        object.__setattr__(self, "one", tuple(sorted(self.one)))
 
     @property
     def depth(self) -> int:

@@ -9,7 +9,9 @@ formulas print the way they were written:
               the value of a is strictly below that of b, or both are 1
 
 All truth values are exact rationals in [0, 1]; evaluation never produces a
-value outside {0, 1} and the values supplied by the assignment.
+value outside {0, 1} and the values supplied by the assignment.  Evaluation
+runs a formula's straight-line program (`program`, `run`), which other
+algebras, such as the forest's masks, run with their own operations.
 """
 
 from __future__ import annotations
@@ -84,25 +86,6 @@ class Lhd(Formula):
     right: Formula
 
 
-def arity(f: Formula) -> int:
-    """Largest variable index occurring in f (0 for variable-free formulas)."""
-    result, stack = 0, [f]
-    while stack:
-        match stack.pop():
-            case Var(index=i):
-                result = max(result, i)
-            case Bot() | Top():
-                pass
-            case Not(child=c):
-                stack.append(c)
-            case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r) \
-                    | Iff(left=l, right=r) | Lhd(left=l, right=r):
-                stack += (l, r)
-            case node:
-                raise TypeError(f"not a formula: {node!r}")
-    return result
-
-
 #: The syntax: each node kind's token text and precedence (higher binds
 #: tighter).  The scanner, parser and printer all read it.
 _SYNTAX = (
@@ -115,30 +98,85 @@ _PREC = {key: prec for text, node, prec in _SYNTAX for key in (text, node)}
 _BINARY_KINDS = tuple(node for _, node, prec in _SYNTAX if prec < 4)
 
 
-def postorder(f: Formula) -> list[Formula]:
-    """The distinct node objects of f, each after its children, left
-    subtrees before right ones.  Iterative, so any depth is fine; a node
-    object shared by several parents appears once."""
-    order: list[Formula] = []
-    done: set[int] = set()  # id()s: hashing a frozen node would recurse into it
+def program(f: Formula) -> list[tuple[type, tuple[int, ...], list[int]]]:
+    """f as straight-line code: one (kind, operands, released) step per
+    distinct node object, each after its operands, left subtrees before right
+    ones.  Operands are 0-based variable numbers for Var and earlier step
+    numbers otherwise; `released` lists the steps whose value is last read
+    here.  One iterative pass over f, so any depth is fine."""
+    steps: list[tuple[type, tuple[int, ...], list[int]]] = []
+    step: dict[int, int] = {}  # id()s: hashing a frozen node would recurse into it
     stack: list[tuple[Formula, bool]] = [(f, False)]
     while stack:
         node, expanded = stack.pop()
-        if id(node) in done:
+        key = id(node)
+        if key in step:
             continue
-        if expanded:
-            done.add(id(node))
-            order.append(node)
-            continue
-        stack.append((node, True))
         kind = type(node)
-        if kind is Not:
-            stack.append((node.child, False))
+        if kind is Var:
+            args = (node.index - 1,)
         elif kind in _BINARY_KINDS:
-            stack += ((node.right, False), (node.left, False))
-        elif kind not in (Var, Bot, Top):
+            if not expanded:
+                stack += ((node, True), (node.right, False), (node.left, False))
+                continue
+            args = (step[id(node.left)], step[id(node.right)])
+        elif kind is Not:
+            if not expanded:
+                stack += ((node, True), (node.child, False))
+                continue
+            args = (step[id(node.child)],)
+        elif kind is Bot or kind is Top:
+            args = ()
+        else:
             raise TypeError(f"not a formula: {node!r}")
-    return order
+        step[key] = len(steps)
+        steps.append((kind, args, []))
+    # A step's last reader is the first one met walking backwards.
+    read: set[int] = set()
+    for kind, args, released in reversed(steps):
+        if kind is not Var:
+            for s in args:
+                if s not in read:
+                    read.add(s)
+                    released.append(s)
+    return steps
+
+
+def _arity(steps) -> int:
+    return max((args[0] + 1 for kind, args, _ in steps if kind is Var), default=0)
+
+
+def arity(f: Formula) -> int:
+    """Largest variable index occurring in f (0 for variable-free formulas)."""
+    return _arity(program(f))
+
+
+def run(steps, variables: Sequence, bot, top, ops: dict):
+    """Execute a program in one algebra and return the value of its last
+    step.  Var k takes variables[k], Bot and Top take bot and top, and every
+    other kind applies ops[kind] to its operands' values.  Each value is
+    dropped after its last read, so few stay alive."""
+    values: list = []
+    for kind, args, released in steps:
+        if kind is Var:
+            try:
+                v = variables[args[0]]
+            except IndexError:
+                raise ValueError(
+                    f"formula uses X{_arity(steps)} but n is {len(variables)}"
+                ) from None
+        elif kind is Bot:
+            v = bot
+        elif kind is Top:
+            v = top
+        elif kind is Not:
+            v = ops[kind](values[args[0]])
+        else:
+            v = ops[kind](values[args[0]], values[args[1]])
+        values.append(v)
+        for s in released:
+            values[s] = None
+    return values[-1]
 
 
 _ZERO = Fraction(0)
@@ -149,7 +187,8 @@ def _residuum(a: Fraction, b: Fraction) -> Fraction:
     return _ONE if a <= b else b
 
 
-_BINARY_VALUE = {
+_FRACTION_OPS = {
+    Not: lambda a: _residuum(a, _ZERO),
     And: min,
     Or: max,
     Implies: _residuum,
@@ -163,27 +202,9 @@ def eval_formula(f: Formula, values: Sequence[Fraction]) -> Fraction:
 
     & is min, | is max, -> is the residuum (1 when left <= right, else the
     right value), ~a is a -> 0.  The derived connectives evaluate through
-    their expansions.  One pass over postorder(f), so any depth is fine.
+    their expansions.  Runs program(f), so any depth is fine.
     """
-    value: dict[int, Fraction] = {}
-    for node in postorder(f):
-        kind = type(node)
-        if kind is Var:
-            if node.index > len(values):
-                raise ValueError(
-                    f"formula uses X{node.index} but the assignment has {len(values)} values"
-                )
-            v = values[node.index - 1]
-        elif kind is Bot:
-            v = _ZERO
-        elif kind is Top:
-            v = _ONE
-        elif kind is Not:
-            v = _residuum(value[id(node.child)], _ZERO)
-        else:
-            v = _BINARY_VALUE[kind](value[id(node.left)], value[id(node.right)])
-        value[id(node)] = v
-    return value[id(f)]
+    return run(program(f), values, _ZERO, _ONE, _FRACTION_OPS)
 
 
 class ParseError(ValueError):

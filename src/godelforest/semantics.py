@@ -15,20 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .formulas import (
-    And,
-    Bot,
-    Formula,
-    Iff,
-    Implies,
-    Lhd,
-    Not,
-    Or,
-    Top,
-    Var,
-    arity,
-    postorder,
-)
+from .formulas import And, Formula, Iff, Implies, Lhd, Not, Or, eval_formula, program, run
 from .forest import Forest, Subforest, enumerate_forest
 
 #: Assignments the grid oracle is willing to enumerate.
@@ -70,43 +57,24 @@ def formula_forest(f: Formula, forest: Forest) -> Subforest:
     """Subforest of classes where f takes value 1.
 
     Built compositionally from the generators: meet is `&`, join is `|` and
-    implication is the subforest residuum, in one post-order pass over f.
-    Shared subformula objects are evaluated once.
+    implication is the subforest residuum, by running program(f) on masks.
+    Shared subformula objects are evaluated once, and each mask is dropped
+    after its last use.
     """
     return Subforest._from_mask(forest, _value_one_mask(f, forest))
 
 
 def _value_one_mask(f: Formula, forest: Forest) -> int:
-    full, implies = forest.full, forest.implies
-    masks: dict[int, int] = {}
-    for node in postorder(f):
-        kind = type(node)
-        if kind is Var:
-            if node.index > forest.n:
-                raise ValueError(
-                    f"formula uses X{arity(f)} but the forest has {forest.n} variables"
-                )
-            mask = forest.generators[node.index - 1]
-        elif kind is Bot:
-            mask = 0
-        elif kind is Top:
-            mask = full
-        elif kind is Not:
-            mask = full ^ forest.upset(masks[id(node.child)])
-        else:
-            a, b = masks[id(node.left)], masks[id(node.right)]
-            if kind is And:
-                mask = a & b
-            elif kind is Or:
-                mask = a | b
-            elif kind is Implies:
-                mask = implies(a, b)
-            elif kind is Iff:
-                mask = implies(a, b) & implies(b, a)
-            else:
-                mask = implies(implies(b, a), b)
-        masks[id(node)] = mask
-    return masks[id(f)]
+    full, implies, upset = forest.full, forest.implies, forest.upset
+    ops = {
+        Not: lambda a: full ^ upset(a),
+        And: int.__and__,
+        Or: int.__or__,
+        Implies: implies,
+        Iff: lambda a, b: implies(a, b) & implies(b, a),
+        Lhd: lambda a, b: implies(implies(b, a), b),
+    }
+    return run(program(f), forest.generators, 0, full, ops)
 
 
 def _region(forest: Forest, logic: Logic) -> int:
@@ -120,8 +88,6 @@ def is_tautology(f: Formula, n: int, logic: Logic = GINF) -> bool:
     Infinite-valued: f must take value 1 on every class.  t-valued: f must
     take value 1 on every class of the height-(t-1) truncation.
     """
-    if arity(f) > n:
-        raise ValueError(f"formula uses X{arity(f)} but n is {n}")
     forest = enumerate_forest(n)
     region = _region(forest, logic)
     return formula_forest(f, forest).mask & region == region
@@ -137,22 +103,20 @@ def grid_tautology_oracle(f: Formula, n: int, t: int) -> bool:
     k/(t-1) is handled as its level k.  The grid is cut into blocks of at
     most _GRID_BLOCK points, in itertools.product order, and each formula
     node's levels at all points of a block are packed into one int, one
-    field per point (see _grid_value).  The first failing block ends the
+    field per point (see _GridFrame).  The first failing block ends the
     check.
     """
     if t < 2:
         raise ValueError(f"a finite-valued logic needs t >= 2, got {t}")
-    if arity(f) > n:
-        raise ValueError(f"formula uses X{arity(f)} but n is {n}")
     if t**n > GRID_ORACLE_BUDGET:
         raise ValueError(
             f"grid of {t}**{n} assignments exceeds the budget of {GRID_ORACLE_BUDGET}"
         )
     if n == 0:  # a variable-free formula takes 0 or 1, whatever t is
-        n, t = 1, 2
-    program = _grid_program(f)
+        return eval_formula(f, ()) == 1
+    steps = program(f)
     return all(
-        _grid_value(program, words, frame) == frame.top
+        run(steps, words, 0, frame.top, frame.ops) == frame.top
         for words, frame in _grid_blocks(n, t)
     )
 
@@ -164,17 +128,38 @@ _GRID_BLOCK = 1 << 12
 
 
 class _GridFrame:
-    """What every block with the same number of points shares."""
+    """What every block with the same number of points shares, including
+    the connectives as operations on packed levels."""
 
-    __slots__ = ("ones", "top", "shift", "high", "stair", "inner")
+    __slots__ = ("ones", "top", "shift", "stair", "inner", "ops")
 
     def __init__(self, ones: int, wb: int, t: int, stair: int, inner: tuple[int, ...]):
         self.ones = ones  # level 1 in every field
-        self.top = (t - 1) * ones  # level t - 1 in every field
-        self.shift = 8 * wb - 1  # the place of the spare top bit in a field
-        self.high = ones << self.shift  # the spare bit of every field
+        self.top = top = (t - 1) * ones  # level t - 1 in every field
+        self.shift = shift = 8 * wb - 1  # the place of the spare top bit in a field
         self.stair = stair  # chunk variable: levels 0, 1, ..., one per inner sweep
         self.inner = inner  # the inner variables' words, in variable order
+        high = ones << shift  # the spare bit of every field
+
+        def le(a: int, b: int) -> int:
+            # Low bits set in every field where a <= b: the subtraction borrows
+            # a field's spare bit exactly when a > b, and never crosses fields.
+            d = ((b | high) - a) & high
+            return d - (d >> shift)
+
+        def iff(a: int, b: int) -> int:  # top where a = b, else the smaller one
+            m = le(a, b)
+            v = b ^ ((a ^ b) & m)
+            return v ^ ((v ^ top) & m & le(b, a))
+
+        self.ops = {
+            Not: lambda a: top & le(a, 0),  # top where a = 0, else 0
+            And: lambda a, b: b ^ ((a ^ b) & le(a, b)),
+            Or: lambda a, b: a ^ ((a ^ b) & le(a, b)),
+            Implies: lambda a, b: b ^ ((b ^ top) & le(a, b)),  # top where a <= b, else b
+            Iff: iff,
+            Lhd: lambda a, b: top ^ ((top ^ b) & le(b, a)),  # b where b <= a, else top
+        }
 
 
 @functools.lru_cache(maxsize=32)
@@ -239,74 +224,6 @@ def _staircase(count: int, run: int, wb: int) -> int:
             word |= _repeat(have, wb, run) << (width * have)
             have += 1
     return word
-
-
-def _grid_program(f: Formula) -> list[tuple[type, tuple[int, ...], list[int]]]:
-    """f as straight-line code: one (kind, operands, released) step per
-    distinct node, in post-order.  Operands are variable numbers for Var and
-    earlier step numbers otherwise; `released` lists the steps whose value is
-    last read here, so a block's live values stay few."""
-    nodes = postorder(f)
-    step = {id(node): k for k, node in enumerate(nodes)}
-    program = []
-    for node in nodes:
-        kind = type(node)
-        if kind is Var:
-            args = (node.index - 1,)
-        elif kind is Not:
-            args = (step[id(node.child)],)
-        elif kind is Bot or kind is Top:
-            args = ()
-        else:
-            args = (step[id(node.left)], step[id(node.right)])
-        program.append((kind, args, []))
-    last_read = {
-        s: k for k, (kind, args, _) in enumerate(program) if kind is not Var for s in args
-    }
-    for s, k in last_read.items():
-        program[k][2].append(s)
-    return program
-
-
-def _grid_value(program, words: list[int], frame: _GridFrame) -> int:
-    """Run the program on one block, where words[i] packs X(i+1)'s levels,
-    and return the formula's packed levels."""
-    high, shift, top = frame.high, frame.shift, frame.top
-
-    def le(a: int, b: int) -> int:
-        # Low bits set in every field where a <= b: the subtraction borrows
-        # a field's spare bit exactly when a > b, and never crosses fields.
-        d = ((b | high) - a) & high
-        return d - (d >> shift)
-
-    values: list = [None] * len(program)
-    for k, (kind, args, released) in enumerate(program):
-        if kind is Var:
-            v = words[args[0]]
-        elif kind is Bot:
-            v = 0
-        elif kind is Top:
-            v = top
-        elif kind is Not:  # top where a = 0, else 0
-            v = top & le(values[args[0]], 0)
-        else:
-            a, b = values[args[0]], values[args[1]]
-            if kind is And:
-                v = b ^ ((a ^ b) & le(a, b))
-            elif kind is Or:
-                v = a ^ ((a ^ b) & le(a, b))
-            elif kind is Implies:  # top where a <= b, else b
-                v = b ^ ((b ^ top) & le(a, b))
-            elif kind is Iff:  # top where a = b, else the smaller one
-                m = le(a, b)
-                v = b ^ ((a ^ b) & m)
-                v ^= (v ^ top) & m & le(b, a)
-            else:  # Lhd: b where b <= a, else top
-                v = top ^ ((top ^ b) & le(b, a))
-        values[k] = v
-        for s in released:
-            values[s] = None
-    return values[-1]
 
 
 def proves_equiv(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:

@@ -2,7 +2,8 @@
 the class-building forest the mask-built forest is tested against, the
 per-node references the bitmask forest kernel is tested against, the
 class predicates the forest's region masks are tested against, the
-per-assignment reference the packed grid oracle is tested against, and the
+per-assignment reference the packed grid oracle is tested against, the
+node-by-node evaluator the formula programs are tested against, and the
 recursive scanner, parser and printer the formula front end is tested
 against."""
 
@@ -34,7 +35,6 @@ from godelforest import (
     conjunction,
     disjunction,
     downset,
-    eval_formula,
     is_ruspini_leaf,
     ruspini_subforest,
 )
@@ -102,6 +102,20 @@ def random_formula(rng: random.Random, n: int, depth: int) -> Formula:
     return node(random_formula(rng, n, depth - 1), random_formula(rng, n, depth - 1))
 
 
+def random_dag(rng: random.Random, n: int, size: int) -> Formula:
+    """Random formula over X1..Xn whose node objects are shared: each of
+    `size` new nodes takes its operands from the nodes made before it.  The
+    result joins the last two nodes, so at least those are reachable."""
+    pool: list[Formula] = [Var(i) for i in range(1, n + 1)] + [Bot(), Top()]
+    for _ in range(size):
+        kind = rng.choice(("not", "and", "or", "implies", "iff", "lhd"))
+        if kind == "not":
+            pool.append(Not(rng.choice(pool[-6:])))
+        else:
+            pool.append(_BINARY[kind](rng.choice(pool[-6:]), rng.choice(pool)))
+    return Implies(pool[-2], pool[-1])
+
+
 def random_witness(rng: random.Random, c: AssignmentClass) -> tuple[Fraction, ...]:
     """Random assignment belonging to the class c."""
     denom = 64
@@ -144,11 +158,72 @@ def lin_instance(t: int) -> Formula:
     return disjunction(terms)
 
 
+def _reference_postorder(f: Formula) -> list[Formula]:
+    """The distinct node objects of f, each after its children."""
+    order: list[Formula] = []
+    done: set[int] = set()
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if id(node) in done:
+            continue
+        if expanded:
+            done.add(id(node))
+            order.append(node)
+            continue
+        stack.append((node, True))
+        if isinstance(node, Not):
+            stack.append((node.child, False))
+        elif isinstance(node, (And, Or, Implies, Iff, Lhd)):
+            stack += ((node.right, False), (node.left, False))
+        elif not isinstance(node, (Var, Bot, Top)):
+            raise TypeError(f"not a formula: {node!r}")
+    return order
+
+
+def _reference_residuum(a: Fraction, b: Fraction) -> Fraction:
+    return Fraction(1) if a <= b else b
+
+
+def reference_eval_formula(f: Formula, values) -> Fraction:
+    """Value of f when Xi takes values[i-1], node by node over its own
+    post-order walk, with each connective written out."""
+    value: dict[int, Fraction] = {}
+    for node in _reference_postorder(f):
+        kind = type(node)
+        if kind is Var:
+            if node.index > len(values):
+                raise ValueError(
+                    f"formula uses X{node.index} but the assignment has {len(values)} values"
+                )
+            v = values[node.index - 1]
+        elif kind is Bot:
+            v = Fraction(0)
+        elif kind is Top:
+            v = Fraction(1)
+        elif kind is Not:
+            v = _reference_residuum(value[id(node.child)], Fraction(0))
+        else:
+            a, b = value[id(node.left)], value[id(node.right)]
+            if kind is And:
+                v = min(a, b)
+            elif kind is Or:
+                v = max(a, b)
+            elif kind is Implies:
+                v = _reference_residuum(a, b)
+            elif kind is Iff:
+                v = min(_reference_residuum(a, b), _reference_residuum(b, a))
+            else:
+                v = _reference_residuum(_reference_residuum(b, a), b)
+        value[id(node)] = v
+    return value[id(f)]
+
+
 def reference_formula_forest(f: Formula, forest: Forest) -> frozenset[AssignmentClass]:
     """Value-1 set of f, found by evaluating f on each class's canonical
     witness (value-1 status is class-invariant)."""
     return frozenset(
-        c for c in forest.nodes if eval_formula(f, c.representative()) == 1
+        c for c in forest.nodes if reference_eval_formula(f, c.representative()) == 1
     )
 
 
@@ -277,7 +352,7 @@ def reference_grid_oracle(f: Formula, n: int, t: int) -> bool:
     assignments in turn, with exact rationals."""
     levels = [Fraction(k, t - 1) for k in range(t)]
     return all(
-        eval_formula(f, values) == 1
+        reference_eval_formula(f, values) == 1
         for values in itertools.product(levels, repeat=n)
     )
 

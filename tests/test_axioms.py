@@ -193,6 +193,8 @@ def test_counting_formulas():
         (count_weak_ruspini, "weak-ruspini", 12),
         (count_2overlap_weak_ruspini, "overlap2", 851),
         (count_2overlap_weak_ruspini, "overlap2", 2000),
+        (ordered_bell, "leaves", 4001),
+        (ordered_bell, "leaves", 20000),
     ],
 )
 def test_counts_refuse_n_past_their_budget(count, kind, n):

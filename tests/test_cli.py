@@ -221,6 +221,36 @@ def test_synthesize_rejects_bad_leaves(tmp_path, capsys):
     assert code == 1 and "Ruspini" in err
 
 
+@pytest.mark.parametrize("leaf", [
+    '{"zero": ["a"], "mid": [], "one": [1]}',
+    '{"zero": [], "mid": [[1, "x"]], "one": []}',
+    '{"zero": [2], "mid": [], "one": [true]}',
+    '{"zero": [2], "mid": [], "one": [1.0]}',
+])
+def test_synthesize_rejects_non_integer_variables(tmp_path, capsys, leaf):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f"[{leaf}]", encoding="utf-8")
+    code, out, err = run(capsys, "synthesize", str(bad), "--n", "2", "-o",
+                         str(tmp_path / "out.json"))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: leaf 0: variable index ")
+    assert err.endswith(" is not an integer\n") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000, "[{]"],
+                         ids=["unclosed", "nested", "malformed"])
+@pytest.mark.parametrize("command", [["analyze"], ["synthesize", "--n", "2", "-o", "out.json"]],
+                         ids=["analyze", "synthesize"])
+def test_loaders_refuse_bad_and_deeply_nested_json(tmp_path, capsys, monkeypatch, text, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command[0], "in.json", *command[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: in.json: not valid JSON: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_taut_deep_negation_chain(capsys):
     code, out, err = run(capsys, "taut", "--n", "1", "~" * 3000 + "X1")
     assert (code, out, err) == (0, "not a tautology\n", "")

@@ -67,6 +67,11 @@ def test_class_validation():
         cls(2, zero=[1, 3])  # out of range
     with pytest.raises(ValueError):
         AssignmentClass(2, (1,), ((),), (2,))  # empty mid block
+    for bad in ("1", 1.0, True, None):  # checked before sorting, which raises TypeError
+        with pytest.raises(ValueError, match="is not an integer"):
+            AssignmentClass(2, (1,), ((bad,),), ())
+        with pytest.raises(ValueError, match="is not an integer"):
+            AssignmentClass(2, (2, bad), (), ())
 
 
 def test_representative_examples():

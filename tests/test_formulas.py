@@ -28,7 +28,7 @@ from godelforest import (
     ruspini_axiom,
     ruspini_subforest,
 )
-from godelforest.formulas import postorder
+from godelforest.formulas import program
 from helpers import (
     expand_derived,
     random_formula,
@@ -135,20 +135,32 @@ def test_eval_deep_negation_chain():
     assert eval_formula(Not(f), (Fraction(1, 2),)) == 0
 
 
-def test_postorder_lists_each_node_once_after_its_children():
-    # postorder is the one traversal under eval_formula, the forest evaluation
-    # and the grid oracle alike, so the differential tests between them cannot
-    # see a fault in it; these explicit orders are its guard.
+def test_program_lists_each_node_once_after_its_operands():
+    # program is the one builder under eval_formula, the forest evaluation and
+    # the grid oracle alike, so the differential tests between them cannot
+    # see every fault in it; this explicit listing is its guard.
     shared = parse_formula("X1 -> X2")
     f = And(shared, Or(Not(Var(3)), shared))
-    order = postorder(f)
-    assert [id(node) for node in order] == [
-        id(shared.left), id(shared.right), id(shared),
-        id(f.right.left.child), id(f.right.left), id(f.right), id(f),
+    assert program(f) == [
+        (Var, (0,), []),
+        (Var, (1,), []),
+        (Implies, (0, 1), [0, 1]),
+        (Var, (2,), []),
+        (Not, (3,), [3]),
+        (Or, (4, 2), [4]),
+        (And, (2, 5), [2, 5]),
     ]
-    assert len(postorder(parse_formula("~" * 3000 + "X1"))) == 3001
+    # One object in both operands is one step, read and released once; two
+    # equal objects are two steps.
+    x = Var(1)
+    assert program(Lhd(x, x)) == [(Var, (0,), []), (Lhd, (0, 0), [0])]
+    assert program(Iff(Var(2), Var(2))) == [
+        (Var, (1,), []), (Var, (1,), []), (Iff, (0, 1), [0, 1]),
+    ]
+    assert program(Top()) == [(Top, (), [])]
+    assert len(program(parse_formula("~" * 3000 + "X1"))) == 3001
     with pytest.raises(TypeError):
-        postorder(And(Var(1), "X2"))
+        program(And(Var(1), "X2"))
 
 
 def test_format_examples():

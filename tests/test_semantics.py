@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -33,8 +34,10 @@ from godelforest import (
 from godelforest.semantics import _GRID_BLOCK, _grid_blocks
 from helpers import (
     lin_instance,
+    random_dag,
     random_formula,
     random_witness,
+    reference_eval_formula,
     reference_formula_forest,
     reference_grid_oracle,
 )
@@ -227,6 +230,41 @@ def test_formula_forest_matches_the_per_node_reference(n, count, depth):
         assert formula_forest(f, forest) == Subforest(
             forest, reference_formula_forest(f, forest)
         ), f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluators_match_the_reference_on_shared_subformulas(n):
+    # Formulas whose node objects are shared, so that the programs reuse and
+    # release steps; prelinearity of two of them is a tautology in every
+    # algebra, so both verdicts occur.
+    rng = random.Random(2000 + n)
+    forest = enumerate_forest(n)
+    points = [tuple(Fraction(rng.randrange(5), 4) for _ in range(n)) for _ in range(8)]
+    verdicts = set()
+    for _ in range(12):
+        f, g = random_dag(rng, n, 12), random_dag(rng, n, 12)
+        for h in (f, Or(Implies(f, g), Implies(g, f))):
+            for values in points:
+                assert eval_formula(h, values) == reference_eval_formula(h, values), (h, values)
+            assert formula_forest(h, forest).members == reference_formula_forest(h, forest), h
+            for t in (2, 3):
+                verdict = grid_tautology_oracle(h, n, t)
+                assert verdict == reference_grid_oracle(h, n, t), (h, t)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_formula_forest_keeps_few_masks_alive():
+    # rho_7 has 307 distinct subformulas, each with a 23 KB mask; the program
+    # drops each mask after its last read.
+    forest, f = enumerate_forest(7), ruspini_axiom(7)
+    tracemalloc.start()
+    try:
+        formula_forest(f, forest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
