@@ -102,11 +102,27 @@ def axiomatize_partition(p: Partition) -> Formula:
     return axiomatize_subforest(partition_forest(p))
 
 
+#: Largest n per stock axiom (rho: `ruspini_axiom`, tau: `overlap_axiom`)
+#: that is built and printed in about 2 s (x86_64, Python 3.11.7).  Time and
+#: memory grow as n**2 for rho and as n**3 for tau.
+AXIOM_MAX_N = {"rho": 360, "tau": 90}
+
+
+def _check_axiom_budget(kind: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    limit = AXIOM_MAX_N[kind]
+    if n > limit:
+        raise ValueError(
+            f"the {kind} axiom supports n <= {limit}: "
+            f"the n = {n} axiom takes too long to build"
+        )
+
+
 def ruspini_axiom(n: int) -> Formula:
     """Disjunction saying: two variables are positive, or one variable is 1
     and the rest are 0.  Its value-1 set is the Ruspini forest."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_axiom_budget("rho", n)
     pair_terms = [
         And(Not(Not(Var(i))), Not(Not(Var(j))))
         for i, j in itertools.combinations(range(1, n + 1), 2)
@@ -121,68 +137,12 @@ def ruspini_axiom(n: int) -> Formula:
 def overlap_axiom(n: int) -> Formula:
     """Conjunction forbidding three simultaneously positive variables; 1 when
     n < 3.  Its value-1 set is the two-overlap forest."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_axiom_budget("tau", n)
     terms = [
         Not(And(And(Var(i), Var(j)), Var(k)))
         for i, j, k in itertools.combinations(range(1, n + 1), 3)
     ]
     return conjunction(terms)
-
-
-def ordered_bell(n: int) -> int:
-    """Number of ordered partitions of an n-set.
-
-    The sum of c_j * j**n over j = 0..n, where c_n = 1 and c_j = 2 * c_(j+1)
-    + (-1)**(n-j) * C(n+1, j+1): O(n) big-int steps and no recursion.
-    """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n:
-        _check_count_budget("leaves", n)
-    total, c, binom, sign = 0, 1, 1, -1  # c_j, C(n+1, j+1), (-1)**(n-j+1) at j = n
-    for j in range(n, -1, -1):
-        total += c * j**n
-        binom = binom * (j + 1) // (n + 1 - j)
-        c, sign = 2 * c + sign * binom, -sign
-    return total
-
-
-#: Largest n per count kind whose exact count is computed and printed in
-#: about 2 s (x86_64, Python 3.11.7).  Printing time grows with the square of
-#: the digit count: `weak-ruspini` at n = 9 has 4,266,956 digits.
-COUNT_MAX_N = {"leaves": 4000, "weak-ruspini": 8, "overlap2": 850}
-
-
-def _check_count_budget(kind: str, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    limit = COUNT_MAX_N[kind]
-    if n > limit:
-        raise ValueError(
-            f"the {kind} count supports n <= {limit}: "
-            f"the n = {n} count takes too long to print"
-        )
-
-
-def count_leaves(n: int) -> int:
-    """Number of maximal classes of the full forest: twice the number of
-    ordered partitions of the n variables."""
-    _check_count_budget("leaves", n)
-    return 2 * ordered_bell(n)
-
-
-def count_weak_ruspini(n: int) -> int:
-    """Number of weak Ruspini partitions of n sets the logic can tell apart:
-    one per nonempty subset of the Ruspini forest's leaves."""
-    _check_count_budget("weak-ruspini", n)
-    return 2 ** (count_leaves(n) - 1) - 1
-
-
-def count_2overlap_weak_ruspini(n: int) -> int:
-    """Same count restricted to families where no three sets overlap."""
-    _check_count_budget("overlap2", n)
-    return 2 ** ((3 * n * n - n) // 2) - 1
 
 
 def _leaf_column(leaf: AssignmentClass) -> tuple[Fraction, ...]:

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (bad input data, guard violations),
 2 usage error.  All output is deterministic for a fixed invocation.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads no others: `count` loads only `counts`.
 """
 
 from __future__ import annotations
@@ -9,47 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from .axioms import (
-    analyze,
-    axiomatize_partition,
-    count_2overlap_weak_ruspini,
-    count_leaves,
-    count_weak_ruspini,
-    overlap_axiom,
-    ruspini_axiom,
-    synthesize_partition,
-)
-from .exports import (
-    class_from_json,
-    class_to_json,
-    format_report,
-    report_to_json,
-    subforest_to_dot,
-    subforest_to_json,
-)
-from .forest import (
-    MAX_FOREST_VARIABLES,
-    class_of_values,
-    downset,
-    enumerate_forest,
-    full_subforest,
-    ruspini_subforest,
-    truncated_subforest,
-    two_overlap_subforest,
-)
-from .formulas import ParseError, arity, format_formula, parse_formula
-from .partitions import (
-    as_fraction,
-    partition_from_json,
-    partition_to_json,
-)
-from .semantics import (
-    grid_tautology_oracle,
-    is_tautology,
-    parse_logic,
-    proves_equiv,
-)
 
 #: Largest n whose forest `forest` exports: the n = 8 export needs gigabytes
 #: of memory (a 2.9 GB peak as JSON).  `taut` and `equiv` decide at n = 8 on
@@ -67,10 +29,22 @@ def _load_json(path: str) -> object:
 
 
 def _load_partition(path: str):
+    from .partitions import partition_from_json
+
     return partition_from_json(_load_json(path))
 
 
 def _cmd_forest(args: argparse.Namespace) -> int:
+    from .exports import subforest_to_dot, write_subforest_json
+    from .forest import (
+        MAX_FOREST_VARIABLES,
+        enumerate_forest,
+        full_subforest,
+        ruspini_subforest,
+        truncated_subforest,
+        two_overlap_subforest,
+    )
+
     if MAX_EXPORT_VARIABLES < args.n <= MAX_FOREST_VARIABLES:
         raise ValueError(
             f"forest export supports n <= {MAX_EXPORT_VARIABLES}: "
@@ -91,12 +65,16 @@ def _cmd_forest(args: argparse.Namespace) -> int:
     if args.format == "dot":
         sys.stdout.write(subforest_to_dot(sub))
     else:
-        json.dump(subforest_to_json(sub), sys.stdout, indent=2)
+        write_subforest_json(sub, sys.stdout)
         sys.stdout.write("\n")
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .exports import class_to_json
+    from .forest import class_of_values
+    from .partitions import as_fraction
+
     raw = [piece.strip() for piece in args.values.split(",")]
     values = [as_fraction(piece) for piece in raw if piece != ""]
     c = class_of_values(values)
@@ -106,6 +84,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .axioms import analyze
+    from .exports import format_report, report_to_json
+
     report = analyze(_load_partition(args.file))
     if args.json:
         json.dump(report_to_json(report), sys.stdout, indent=2)
@@ -116,17 +97,33 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_axiomatize(args: argparse.Namespace) -> int:
+    from .axioms import axiomatize_partition
+    from .formulas import format_formula
+
     print(format_formula(axiomatize_partition(_load_partition(args.file))))
     return 0
 
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
+    from .axioms import overlap_axiom, ruspini_axiom
+    from .formulas import format_formula
+
     builder = ruspini_axiom if args.kind == "rho" else overlap_axiom
     print(format_formula(builder(args.n)))
     return 0
 
 
+def _check_n(n: int) -> None:
+    """`taut` and `equiv` take --n >= 0 (0 suits variable-free formulas)."""
+    if n < 0:
+        raise ValueError(f"--n must be >= 0, got {n}")
+
+
 def _cmd_taut(args: argparse.Namespace) -> int:
+    from .formulas import arity, parse_formula
+    from .semantics import grid_tautology_oracle, is_tautology, parse_logic
+
+    _check_n(args.n)
     logic = parse_logic(args.logic)
     formula = parse_formula(args.formula)
     if arity(formula) > args.n:
@@ -145,6 +142,10 @@ def _cmd_taut(args: argparse.Namespace) -> int:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
+    from .formulas import arity, parse_formula
+    from .semantics import parse_logic, proves_equiv
+
+    _check_n(args.n)
     logic = parse_logic(args.logic)
     a, b = parse_formula(args.first), parse_formula(args.second)
     if max(arity(a), arity(b)) > args.n:
@@ -157,6 +158,11 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
+    from .axioms import synthesize_partition
+    from .exports import class_from_json
+    from .forest import downset, enumerate_forest
+    from .partitions import partition_to_json
+
     obj = _load_json(args.leaves)
     if not isinstance(obj, list):
         raise ValueError(f"{args.leaves}: expected a JSON list of classes")
@@ -177,6 +183,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .counts import count_2overlap_weak_ruspini, count_leaves, count_weak_ruspini
+
     if args.kind == "leaves":
         count = count_leaves(args.n)
     elif args.kind == "weak-ruspini":
@@ -279,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

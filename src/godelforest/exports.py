@@ -6,9 +6,14 @@ tree so figures of individual trees can be rendered directly.
 
 from __future__ import annotations
 
-from .axioms import AnalysisReport
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING, TextIO
+
 from .forest import AssignmentClass, Subforest
 from .formulas import format_formula
+
+if TYPE_CHECKING:
+    from .axioms import AnalysisReport
 
 
 def class_to_json(c: AssignmentClass) -> dict:
@@ -57,6 +62,53 @@ def subforest_to_json(sub: Subforest) -> dict:
         for k, (c, parent) in enumerate(zip(members, parents))
     ]
     return {"n": sub.forest.n, "count": len(nodes), "nodes": nodes}
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """Encoded items as `json.dump(..., indent=2)` lays out a list whose
+    items sit at indent `pad` (and its closing bracket two spaces left)."""
+    if not items:
+        return "[]"
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
+
+
+def _node_json(k: int, c: AssignmentClass, parent: int | None) -> str:
+    """Node k of `subforest_to_json` as `json.dump(..., indent=2)` writes it."""
+    mid = _json_list([_json_list(list(map(str, b)), " " * 10) for b in c.mid], " " * 8)
+    return (
+        "    {\n"
+        f'      "zero": {_json_list(list(map(str, c.zero)), " " * 8)},\n'
+        f'      "mid": {mid},\n'
+        f'      "one": {_json_list(list(map(str, c.one)), " " * 8)},\n'
+        f'      "id": {k},\n'
+        f'      "label": {encode_basestring_ascii(c.chain_string())},\n'
+        f'      "parent": {"null" if parent is None else parent}\n'
+        "    }"
+    )
+
+
+#: Nodes encoded per `write` call of `write_subforest_json`.
+_WRITE_BATCH = 1000
+
+
+def write_subforest_json(sub: Subforest, out: TextIO) -> None:
+    """Write `subforest_to_json(sub)` to out, byte for byte as
+    `json.dump(..., out, indent=2)` would, one batch of nodes per write.
+
+    No node dicts are built, so the text held at once is one batch."""
+    members, parents = _members_and_parents(sub)
+    out.write(f'{{\n  "n": {sub.forest.n},\n  "count": {len(members)},\n  "nodes": ')
+    if not members:
+        out.write("[]\n}")
+        return
+    lead = "[\n"
+    for start in range(0, len(members), _WRITE_BATCH):
+        stop = min(start + _WRITE_BATCH, len(members))
+        out.write(lead + ",\n".join(
+            _node_json(k, members[k], parents[k]) for k in range(start, stop)
+        ))
+        lead = ",\n"
+    out.write("\n  ]\n}")
 
 
 def subforest_to_dot(sub: Subforest) -> str:

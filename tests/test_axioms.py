@@ -12,6 +12,8 @@ from godelforest import (
     Iff,
     Lhd,
     Logic,
+    Not,
+    Or,
     Partition,
     PiecewiseLinearFuzzySet,
     Top,
@@ -43,7 +45,8 @@ from godelforest import (
     synthesize_partition,
     two_overlap_subforest,
 )
-from godelforest.axioms import COUNT_MAX_N
+from godelforest.axioms import AXIOM_MAX_N
+from godelforest.counts import COUNT_MAX_N
 from helpers import cls, fr, random_ruspini_subforest, reference_ordered_bell, stirling2
 
 
@@ -144,6 +147,27 @@ def test_ruspini_axiom_shape_and_forest():
     )
     with pytest.raises(ValueError):
         ruspini_axiom(0)
+
+
+@pytest.mark.parametrize("builder, kind", [(ruspini_axiom, "rho"), (overlap_axiom, "tau")])
+def test_stock_axioms_refuse_past_their_budget_at_once(builder, kind):
+    limit = AXIOM_MAX_N[kind]
+    for n in (limit + 1, 10 * limit, 10**9):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^the {kind} axiom supports n <= {limit}: "
+                                             f"the n = {n} axiom takes too long to build$"):
+            builder(n)
+        assert time.perf_counter() - started < 1
+    with pytest.raises(ValueError, match="need n >= 1"):
+        builder(-5)
+
+
+def test_stock_axiom_budget_admits_its_limits():
+    assert AXIOM_MAX_N == {"rho": 360, "tau": 90}
+    rho = ruspini_axiom(AXIOM_MAX_N["rho"])
+    assert isinstance(rho, Or)
+    tau = overlap_axiom(AXIOM_MAX_N["tau"])
+    assert isinstance(tau, And) and isinstance(tau.right, Not)
 
 
 def test_overlap_axiom_shape_and_forest():

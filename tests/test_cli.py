@@ -68,6 +68,24 @@ def test_taut_arity_error(capsys):
     assert "X3" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["taut", "--n", "-1", "1"],
+    ["taut", "--n", "-1", "X1"],
+    ["taut", "--n", "-3", "--logic", "g3", "--oracle", "X1 | ~X1"],
+    ["equiv", "--n", "-2", "X1", "X1"],
+    ["equiv", "--n", "-1", "1", "~0"],
+])
+def test_decisions_refuse_a_negative_n_first(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: --n must be >= 0, got {argv[2]}\n"
+
+
+def test_taut_at_n0_still_answers(capsys):
+    assert run(capsys, "taut", "--n", "0", "--logic", "g3", "--oracle", "1") == (
+        0, "tautology\n", "")
+
+
 def test_taut_parse_error(capsys):
     code, _, err = run(capsys, "taut", "--n", "2", "--logic", "ginf", "X1 &")
     assert code == 1
@@ -100,6 +118,18 @@ def test_axioms_output_parses_back(capsys):
     parse_formula(out.strip())
     code, out, _ = run(capsys, "axioms", "--kind", "tau", "--n", "3")
     assert (code, out.strip()) == (0, "~(X1 & X2 & X3)")
+
+
+@pytest.mark.parametrize("kind, n", [("tau", "91"), ("tau", "100000"), ("rho", "361"),
+                                     ("rho", "10000000")])
+def test_axioms_refuse_an_axiom_too_large_to_build(capsys, kind, n):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "axioms", "--kind", kind, "--n", n)
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: the {kind} axiom supports n <= ")
+    assert err.endswith(f"the n = {n} axiom takes too long to build\n")
+    assert err.count("\n") == 1
 
 
 def test_forest_json(capsys):

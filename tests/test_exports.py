@@ -1,0 +1,69 @@
+"""The streaming JSON forest writer against the dict export it replaces."""
+
+import io
+import json
+import tracemalloc
+
+import pytest
+
+from godelforest import (
+    empty_subforest,
+    enumerate_forest,
+    full_subforest,
+    ruspini_subforest,
+    subforest_to_json,
+    truncated_subforest,
+    two_overlap_subforest,
+)
+from godelforest.exports import write_subforest_json
+
+
+def subforests(n):
+    forest = enumerate_forest(n)
+    yield "full", full_subforest(forest)
+    yield "ruspini", ruspini_subforest(forest)
+    yield "two-overlap", two_overlap_subforest(forest)
+    yield "empty", empty_subforest(forest)
+    for t in range(2, 6):
+        yield f"truncated t={t}", truncated_subforest(forest, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_writer_matches_json_dump_of_the_dict(n):
+    for name, sub in subforests(n):
+        out = io.StringIO()
+        write_subforest_json(sub, out)
+        assert out.getvalue() == json.dumps(subforest_to_json(sub), indent=2), name
+
+
+class CountingSink:
+    """A text sink that keeps only the number of characters written."""
+
+    def __init__(self) -> None:
+        self.chars = 0
+        self.writes = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+        self.writes += 1
+
+
+def peak_bytes(action) -> int:
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_streams_r6_in_batches_with_less_than_half_the_peak():
+    sub = ruspini_subforest(enumerate_forest(6))
+    reference = json.dumps(subforest_to_json(sub), indent=2)  # also caches the labels
+    sink = CountingSink()
+    writer_peak = peak_bytes(lambda: write_subforest_json(sub, sink))
+    dict_peak = peak_bytes(lambda: subforest_to_json(sub))
+    assert sink.chars == len(reference)
+    # A header, then one write per batch of 1,000 nodes, then the closing lines.
+    assert sink.writes == 2 + -(-len(sub) // 1000)
+    assert writer_peak < dict_peak / 2

@@ -1,0 +1,126 @@
+"""The package's public names and the modules each CLI subcommand loads."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import godelforest
+import godelforest.semantics
+
+SRC = str(pathlib.Path(godelforest.__file__).resolve().parent.parent)
+
+# Every name the package exported when its __init__ imported all submodules.
+PUBLIC_NAMES = [
+    "AnalysisReport", "And", "AssignmentClass", "Bot", "Forest", "Formula", "GINF",
+    "GRID_ORACLE_BUDGET", "Iff", "Implies", "Lhd", "Logic", "MAX_FOREST_VARIABLES", "Not",
+    "Or", "ParseError", "Partition", "PiecewiseLinearFuzzySet", "Subforest", "Top", "Var",
+    "analyze", "arity", "as_fraction", "axiomatize_partition", "axiomatize_subforest",
+    "chain_normal_form", "check_2_overlapping", "check_ruspini_exact", "class_from_json",
+    "class_key", "class_of_values", "class_to_json", "conjunction",
+    "count_2overlap_weak_ruspini", "count_leaves", "count_weak_ruspini", "critical_points",
+    "disjunction", "downset", "empty_subforest", "enumerate_forest", "eval_formula",
+    "format_formula", "format_report", "formula_forest", "full_subforest",
+    "generating_subforest", "grid_tautology_oracle", "is_ruspini_leaf",
+    "is_ruspini_subforest", "is_tautology", "is_weak_ruspini", "leq", "ordered_bell",
+    "overlap_axiom", "parse_formula", "parse_logic", "partition_forest",
+    "partition_from_json", "partition_to_json", "proves_equiv", "proves_implies",
+    "realized_classes", "report_to_json", "ruspini_axiom", "ruspini_subforest",
+    "subforest_to_dot", "subforest_to_json", "synthesize_partition", "truncated_subforest",
+    "two_overlap_subforest",
+]
+
+SUBMODULES = ["axioms", "counts", "exports", "forest", "formulas", "partitions", "semantics"]
+
+
+def run_python(code: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout
+
+
+def test_all_lists_the_public_names():
+    assert sorted(godelforest.__all__) == PUBLIC_NAMES
+    assert len(set(godelforest.__all__)) == len(godelforest.__all__)
+    assert set(PUBLIC_NAMES) <= set(dir(godelforest))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from godelforest import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+def test_every_name_and_submodule_resolves_in_a_fresh_process():
+    code = (
+        "import godelforest, types\n"
+        f"names = {PUBLIC_NAMES!r}\n"
+        f"mods = [getattr(godelforest, m).__name__ for m in {SUBMODULES!r}]\n"
+        "bad = [n for n in names if isinstance(getattr(godelforest, n), types.ModuleType)]\n"
+        "print(bad, mods)\n"
+    )
+    expected = [f"godelforest.{m}" for m in SUBMODULES]
+    assert run_python(code).strip() == f"[] {expected!r}"
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        godelforest.no_such_name  # noqa: B018
+
+
+def test_package_reads_the_patched_binding(monkeypatch):
+    def patched(*args, **kwargs):
+        return "patched"
+
+    original = godelforest.semantics.is_tautology
+    monkeypatch.setattr(godelforest.semantics, "is_tautology", patched)
+    assert godelforest.is_tautology is patched
+    monkeypatch.undo()
+    # Nothing was cached in the package while the patch was in place.
+    assert godelforest.is_tautology is original
+    assert "is_tautology" not in vars(godelforest)
+
+
+FOOTPRINT = (
+    "import contextlib, io, json, sys\n"
+    "from godelforest.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('godelforest.'))]))\n"
+)
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    code, modules = json.loads(run_python(FOOTPRINT, *argv))
+    assert code == 0
+    return {m.removeprefix("godelforest.") for m in modules}
+
+
+def test_count_loads_only_cli_and_counts():
+    assert loaded_modules("count", "--n", "3", "--kind", "weak-ruspini") == {"cli", "counts"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["taut", "--n", "2", "(X1 -> X2) | (X2 -> X1)"],
+    ["taut", "--n", "2", "--logic", "g3", "--oracle", "X1 | ~X1"],
+    ["equiv", "--n", "2", "X1 & X2", "X2 & X1"],
+])
+def test_decisions_load_no_partitions_axioms_or_exports(argv):
+    loaded = loaded_modules(*argv)
+    assert {"formulas", "semantics"} <= loaded
+    assert not loaded & {"partitions", "axioms", "exports"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["forest", "--n", "3", "--kind", "rn", "--format", "json"],
+    ["forest", "--n", "3", "--format", "dot"],
+    ["classify", "--values", "0,1/3,1"],
+])
+def test_forest_and_classify_load_no_semantics_or_axioms(argv):
+    loaded = loaded_modules(*argv)
+    assert {"forest", "exports"} <= loaded
+    assert not loaded & {"semantics", "axioms"}
