@@ -14,8 +14,8 @@ import json
 import sys
 
 #: Largest n whose forest `forest` exports: the n = 8 export needs gigabytes
-#: of memory (a 2.9 GB peak as JSON).  `taut` and `equiv` decide at n = 8 on
-#: the forest's masks without building its classes; `analyze` builds them.
+#: of memory (a 2.9 GB peak as JSON).  The other subcommands run at n = 8 on
+#: the forest's masks, and build only the classes they rank or walk.
 MAX_EXPORT_VARIABLES = 7
 
 

@@ -39,24 +39,9 @@ def class_from_json(obj: object, n: int) -> AssignmentClass:
     return AssignmentClass(n, tuple(zero), tuple(tuple(b) for b in mid), tuple(one))
 
 
-def _members_and_parents(sub: Subforest) -> tuple[list[AssignmentClass], list[int | None]]:
-    """Members in canonical order, and each one's parent by position (None
-    for a root)."""
-    nodes = sub.forest.nodes
-    members = [nodes[i] for i in sub.node_ids()]
-    # Members are downward closed and in preorder, so a member's parent is
-    # the last member seen one level up.
-    parents, last_at_depth = [], []
-    for k, c in enumerate(members):
-        del last_at_depth[len(c.mid) :]
-        parents.append(last_at_depth[-1] if last_at_depth else None)
-        last_at_depth.append(k)
-    return members, parents
-
-
 def subforest_to_json(sub: Subforest) -> dict:
     """Nodes in canonical order with parent links by node id."""
-    members, parents = _members_and_parents(sub)
+    members, parents = sub.forest.walk(sub.mask)
     nodes = [
         dict(class_to_json(c), id=k, label=c.chain_string(), parent=parent)
         for k, (c, parent) in enumerate(zip(members, parents))
@@ -96,7 +81,7 @@ def write_subforest_json(sub: Subforest, out: TextIO) -> None:
     `json.dump(..., out, indent=2)` would, one batch of nodes per write.
 
     No node dicts are built, so the text held at once is one batch."""
-    members, parents = _members_and_parents(sub)
+    members, parents = sub.forest.walk(sub.mask)
     out.write(f'{{\n  "n": {sub.forest.n},\n  "count": {len(members)},\n  "nodes": ')
     if not members:
         out.write("[]\n}")
@@ -113,7 +98,7 @@ def write_subforest_json(sub: Subforest, out: TextIO) -> None:
 
 def subforest_to_dot(sub: Subforest) -> str:
     """One digraph per tree; nodes are labeled with their chain strings."""
-    members, parents = _members_and_parents(sub)
+    members, parents = sub.forest.walk(sub.mask)
     # Each tree is a run of members that starts at its root.
     starts = [k for k, parent in enumerate(parents) if parent is None] + [len(members)]
     lines: list[str] = []

@@ -17,9 +17,9 @@ classes themselves are built only when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 #: Enumeration guard: forests grow super-exponentially with n.
@@ -39,9 +39,6 @@ class AssignmentClass:
     zero: tuple[int, ...]
     mid: tuple[tuple[int, ...], ...]
     one: tuple[int, ...]
-    # chain_string()'s cache: forest nodes are shared, so their labels in
-    # exports and reports can be too.
-    _chain: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -100,11 +97,6 @@ class AssignmentClass:
 
     def chain_string(self) -> str:
         """Human-readable chain, e.g. "0=X1<X2<1" or "0<X1=X2<1"."""
-        if self._chain is None:
-            object.__setattr__(self, "_chain", self._format_chain())
-        return self._chain
-
-    def _format_chain(self) -> str:
         parts = ["0"]
         blocks: list[tuple[bool, tuple[int, ...]]] = []
         if self.zero:
@@ -187,22 +179,27 @@ def _bits(mask: int) -> list[int]:
 class Forest:
     """All assignment classes over n variables, as bitmasks over node ids.
 
-    Node i is `nodes[i]`.  Ids follow `class_key` order, which is a preorder,
-    so every subtree is an interval of ids.  A set of nodes is a Python int
-    used as a bitmask, bit i standing for node i.  The depth and generator
-    masks are built by concatenating per-shape tree masks; the classes and
-    their index are built on first use.
+    Ids follow `class_key` order, which is a preorder, so every subtree is
+    an interval of ids.  A set of nodes is a Python int used as a bitmask,
+    bit i standing for node i.  The depth and generator masks are built by
+    concatenating per-shape tree masks.  No class is stored: `path` ranks a
+    class to its ids and `walk` builds the classes of a downset mask, both
+    from the tree-shape table of `_children`.
 
     Instances are immutable once built; use :func:`enumerate_forest`.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
-        # The roots are the Boolean classes, one per zero set, in order.
-        universe = tuple(range(n))
-        root_ones = (universe, *(rest for _, rest in _splits(universe)))
+        # The roots are the Boolean classes, one per zero set, in order;
+        # _roots maps each zero set to its root's id and variables at 1.
+        universe = tuple(range(1, n + 1))
+        self._roots, size = {}, 0
+        for zero, one in (((), universe), *_splits(universe)):
+            self._roots[zero] = (size, one)
+            size += _children(one)[1]
         levels, generators = [0] * (n + 2), [0] * n
-        size = _place(_tree_masks(n), root_ones, levels, 1, generators, 0)
+        _place(_tree_masks(n), self._roots.values(), levels, 1, generators)
         self.full = (1 << size) - 1
         #: _levels[d] holds the nodes of depth d, _deeper[d] those below it.
         self._levels = tuple(levels)
@@ -230,27 +227,42 @@ class Forest:
             self.full ^ (roots & ~ones) ^ (self._levels[2] & self.upset(roots & ones & ~twos))
         )
 
-    @cached_property
-    def nodes(self) -> tuple[AssignmentClass, ...]:
-        """The classes in id order: each tree depth first, children in
-        lexicographic order of the block they split off."""
-        n = self.n
-        nodes: list[AssignmentClass] = []
+    def path(self, c: AssignmentClass) -> Optional[list[int]]:
+        """Ids of c's ancestors and c, root first; None when c is not a node.
 
-        def grow(zero: tuple, mid: tuple, one: tuple) -> None:
-            nodes.append(_class(n, zero, mid, one))
-            for block, rest in _splits(one):
-                grow(zero, mid + (block,), rest)
+        The root is found by c's zero set, then each mid block is a step to
+        the child that splits it off."""
+        if not isinstance(c, AssignmentClass) or c.n != self.n:
+            return None
+        i, one = self._roots[c.zero]
+        ids = [i]
+        for block in c.mid:
+            step, one = _children(one)[0][block]
+            i += step
+            ids.append(i)
+        return ids
 
-        universe = tuple(range(1, n + 1))
-        for zero, one in (((), universe), *_splits(universe)):
-            grow(zero, (), one)
-        return tuple(nodes)
+    def walk(self, mask: int) -> tuple[list[AssignmentClass], list[Optional[int]]]:
+        """Members of a downset mask in id order, and the position among
+        them of each one's parent (None for a root).
 
-    @cached_property
-    def index(self) -> dict[AssignmentClass, int]:
-        """Node id of each class."""
-        return {c: i for i, c in enumerate(self.nodes)}
+        Only members and their children are visited: a child outside the
+        mask is passed over, and with it its whole subtree."""
+        n, classes, parents = self.n, [], []
+        bits = format(mask, f"0{len(self)}b")  # bits[~i] is bit i
+
+        def visit(zero: tuple, mid: tuple, one: tuple, i: int, up: Optional[int]) -> None:
+            k = len(classes)
+            classes.append(_class(n, zero, mid, one))
+            parents.append(up)
+            for block, (step, rest) in _children(one)[0].items():
+                if bits[~(i + step)] == "1":
+                    visit(zero, mid + (block,), rest, i + step, k)
+
+        for zero, (i, one) in self._roots.items():
+            if bits[~i] == "1":
+                visit(zero, (), one, i, None)
+        return classes, parents
 
     def upset(self, mask: int) -> int:
         """Nodes lying in the subtree of some node of mask.
@@ -285,8 +297,8 @@ class Forest:
         return f"Forest(n={self.n}, nodes={len(self)})"
 
 
-_SET_N, _SET_ZERO, _SET_MID, _SET_ONE, _SET_CHAIN = (
-    getattr(AssignmentClass, name).__set__ for name in ("n", "zero", "mid", "one", "_chain")
+_SET_N, _SET_ZERO, _SET_MID, _SET_ONE = (
+    getattr(AssignmentClass, name).__set__ for name in ("n", "zero", "mid", "one")
 )
 
 
@@ -297,7 +309,6 @@ def _class(n: int, zero: tuple, mid: tuple, one: tuple) -> AssignmentClass:
     _SET_ZERO(c, zero)
     _SET_MID(c, mid)
     _SET_ONE(c, one)
-    _SET_CHAIN(c, None)
     return c
 
 
@@ -319,45 +330,56 @@ def _splits(items: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, .
     )
 
 
-_TreeMasks = tuple[int, list[int], list[int]]
+_Children = dict[tuple[int, ...], tuple[int, tuple[int, ...]]]
+
+
+@lru_cache(maxsize=None)
+def _children(one: tuple[int, ...]) -> tuple[_Children, int]:
+    """Shape of a tree whose root has the variables `one` at 1, and its size.
+
+    This is the one definition of the preorder: the root comes first, then
+    one child subtree per nonempty block of `one`, in `_splits` order, the
+    child keeping the rest at 1.  The table maps each block to the child's
+    id step from the root and the variables it keeps at 1."""
+    table: _Children = {}
+    step = 1
+    for block, rest in _splits(one):
+        table[block] = (step, rest)
+        step += _children(rest)[1]
+    return table, step
+
+
+_TreeMasks = tuple[list[int], list[int]]
 
 
 def _place(
     trees: list[_TreeMasks],
-    ones: Iterable[tuple[int, ...]],
+    placements: Iterable[tuple[int, tuple[int, ...]]],
     levels: list[int],
     depth: int,
     generators: list[int],
-    size: int,
-) -> int:
-    """Append to the masks, from node id `size` on, one tree per tuple of
-    `ones` (the generators at 1 in its root, which sits at `depth`), and
-    return the new size.  `trees[m]` holds the size, depth masks (root
-    first) and per-position generator masks of a tree whose root has m
-    variables at 1: its shape depends only on m."""
-    for one in ones:
-        tree_size, tree_levels, tree_generators = trees[len(one)]
+) -> None:
+    """Add to the masks one tree per `(offset, one)` of `placements`: its
+    root sits at node id `offset` and `depth`, with the variables `one` at
+    1.  `trees[m]` holds the depth masks (root first) and per-position
+    generator masks of a tree whose root has m variables at 1: its shape
+    depends only on m."""
+    for offset, one in placements:
+        tree_levels, tree_generators = trees[len(one)]
         for d, mask in enumerate(tree_levels, start=depth):
-            levels[d] |= mask << size
+            levels[d] |= mask << offset
         for g, mask in zip(one, tree_generators):
-            generators[g] |= mask << size
-        size += tree_size
-    return size
+            generators[g - 1] |= mask << offset
 
 
 def _tree_masks(n: int) -> list[_TreeMasks]:
-    """Masks of the trees whose roots have m = 0..n variables at 1.
-
-    The root comes first, then its children's subtrees, one per nonempty
-    block of its 1-variables in `_splits` order; the child keeps the rest at
-    1.
-    """
+    """Masks of the trees whose roots have m = 0..n variables at 1, each
+    made of its root bit and its children's masks placed by `_children`."""
     trees: list[_TreeMasks] = []
     for m in range(n + 1):
-        positions = tuple(range(m))
         levels, generators = [1] + [0] * m, [1] * m
-        rests = (rest for _, rest in _splits(positions))
-        trees.append((_place(trees, rests, levels, 1, generators, 1), levels, generators))
+        _place(trees, _children(tuple(range(1, m + 1)))[0].values(), levels, 1, generators)
+        trees.append((levels, generators))
     return trees
 
 
@@ -386,18 +408,18 @@ class Subforest:
     mask: int
 
     def __init__(self, forest: Forest, members: Iterable[AssignmentClass]) -> None:
-        index = forest.index
-        flags = bytearray(len(forest))
+        flags, named = bytearray(len(forest)), {}
         for c in members:
-            i = index.get(c)
-            if i is None:
+            ids = forest.path(c)
+            if ids is None:
                 raise ValueError(f"class {c} is not a node of the ambient forest")
-            flags[i] = 1
+            flags[ids[-1]] = 1
+            named[ids[-1]] = c
         mask = _flags_to_mask(flags)
         # A member below a non-member; the lowest one's parent is missing.
         open_ = mask & forest.upset(forest.full ^ mask)
         if open_:
-            c = forest.nodes[(open_ & -open_).bit_length() - 1]
+            c = named[(open_ & -open_).bit_length() - 1]
             raise ValueError(f"member set is not downward closed at {c}")
         object.__setattr__(self, "forest", forest)
         object.__setattr__(self, "mask", mask)
@@ -420,20 +442,14 @@ class Subforest:
 
     @property
     def members(self) -> frozenset[AssignmentClass]:
-        nodes = self.forest.nodes
-        return frozenset(nodes[i] for i in self.node_ids())
+        return frozenset(self.forest.walk(self.mask)[0])
 
     def leaves(self) -> tuple[AssignmentClass, ...]:
-        """Maximal elements, in canonical order."""
-        # In preorder a member has a member child iff the next member is
-        # deeper than it.
-        nodes = self.forest.nodes
-        members = [nodes[i] for i in self.node_ids()]
-        return tuple(
-            c
-            for c, d in zip(members, members[1:] + [None])
-            if d is None or len(d.mid) <= len(c.mid)
-        )
+        """Maximal elements (members that are no member's parent), in
+        canonical order."""
+        members, parents = self.forest.walk(self.mask)
+        inner = set(parents)
+        return tuple(c for k, c in enumerate(members) if k not in inner)
 
     def meet(self, other: "Subforest") -> "Subforest":
         self._check_ambient(other)
@@ -454,8 +470,8 @@ class Subforest:
         return not self.mask & ~other.mask
 
     def __contains__(self, c: AssignmentClass) -> bool:
-        i = self.forest.index.get(c)
-        return i is not None and bool(self.mask >> i & 1)
+        ids = self.forest.path(c)
+        return ids is not None and bool(self.mask >> ids[-1] & 1)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -466,18 +482,13 @@ class Subforest:
 
 def downset(forest: Forest, seeds: Iterable[AssignmentClass]) -> Subforest:
     """Smallest downward-closed superset of the seeds."""
-    index = forest.index
     flags = bytearray(len(forest))
     for seed in seeds:
-        c, i = seed, index.get(seed)
-        if i is None:
+        ids = forest.path(seed)
+        if ids is None:
             raise ValueError(f"class {seed} is not a node of the forest")
-        while not flags[i]:
+        for i in ids:
             flags[i] = 1
-            c = c.parent()
-            if c is None:
-                break
-            i = index[c]
     return Subforest._from_mask(forest, _flags_to_mask(flags))
 
 

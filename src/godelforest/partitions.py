@@ -153,6 +153,8 @@ def partition_from_json(obj: object) -> Partition:
         raise ValueError("partition JSON must be an object")
     if "sets" not in obj or not isinstance(obj["sets"], list):
         raise ValueError("partition JSON needs a 'sets' list")
+    if "n" in obj and type(obj["n"]) is not int:  # bool too: JSON true is not 1
+        raise ValueError(f"'n' must be an integer, got {obj['n']!r}")
     sets = []
     # Partitions repeat most of their rationals (shared abscissae, 0 and 1
     # values): each distinct text is parsed once, into one shared Fraction.

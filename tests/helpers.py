@@ -130,8 +130,9 @@ def random_witness(rng: random.Random, c: AssignmentClass) -> tuple[Fraction, ..
 
 
 def random_subforest(rng: random.Random, forest: Forest) -> Subforest:
-    count = rng.randint(0, max(1, len(forest.nodes) // 3))
-    seeds = rng.sample(forest.nodes, count)
+    nodes = reference_forest(forest.n).nodes
+    count = rng.randint(0, max(1, len(nodes) // 3))
+    seeds = rng.sample(nodes, count)
     return downset(forest, seeds)
 
 
@@ -223,7 +224,9 @@ def reference_formula_forest(f: Formula, forest: Forest) -> frozenset[Assignment
     """Value-1 set of f, found by evaluating f on each class's canonical
     witness (value-1 status is class-invariant)."""
     return frozenset(
-        c for c in forest.nodes if reference_eval_formula(f, c.representative()) == 1
+        c
+        for c in reference_forest(forest.n).nodes
+        if reference_eval_formula(f, c.representative()) == 1
     )
 
 
@@ -233,7 +236,7 @@ def reference_implies(a: Subforest, b: Subforest) -> frozenset[AssignmentClass]:
     am, bm = a.members, b.members
     return frozenset(
         q
-        for q in a.forest.nodes
+        for q in reference_forest(a.forest.n).nodes
         if all(c not in am or c in bm for c in downward_chain(q))
     )
 

@@ -121,7 +121,7 @@ def test_criterion_05_chain_normal_forms():
     checked = 0
     for n in (1, 2, 3):
         forest = enumerate_forest(n)
-        for c in forest.nodes:
+        for c in reference_forest(n).nodes:
             ok &= (
                 formula_forest(chain_normal_form(c), forest).members
                 == downset(forest, [c]).members
@@ -149,7 +149,7 @@ def test_criterion_06_compositionality_and_class_invariance():
             == fa.implies(empty_subforest(forest)).members
         )
         for _ in range(10):
-            c = rng.choice(forest.nodes)
+            c = rng.choice(reference_forest(3).nodes)
             w1, w2 = random_witness(rng, c), random_witness(rng, c)
             invariance_ok &= (eval_formula(a, w1) == 1) == (eval_formula(a, w2) == 1)
     ok = comp_ok and invariance_ok
@@ -287,7 +287,7 @@ def test_criterion_09_verdict_triples_and_finite_agreement():
 
 def test_criterion_10_counting_corollaries():
     forest = enumerate_forest(2)
-    nodes = forest.nodes
+    nodes = reference_forest(2).nodes
     exhaustive = 0
     for r in range(len(nodes) + 1):
         for chosen in itertools.combinations(nodes, r):
@@ -328,7 +328,7 @@ def test_criterion_11_structural_facts():
             r for r in ref.roots if not ref.children[r] and not r.one
         ]
         ok &= height_one == [cls(n, zero=range(1, n + 1))]
-        ok &= set(full_subforest(forest).leaves()) == {c for c in forest.nodes if not c.one}
+        ok &= set(full_subforest(forest).leaves()) == {c for c in ref.nodes if not c.one}
     _report(
         11,
         ok,

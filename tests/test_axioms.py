@@ -47,7 +47,14 @@ from godelforest import (
 )
 from godelforest.axioms import AXIOM_MAX_N
 from godelforest.counts import COUNT_MAX_N
-from helpers import cls, fr, random_ruspini_subforest, reference_ordered_bell, stirling2
+from helpers import (
+    cls,
+    fr,
+    random_ruspini_subforest,
+    reference_forest,
+    reference_ordered_bell,
+    stirling2,
+)
 
 
 def pl(name, *pts):
@@ -71,7 +78,7 @@ def test_chain_normal_form_structure():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_chain_normal_form_carves_the_downset(n):
     forest = enumerate_forest(n)
-    for c in forest.nodes:
+    for c in reference_forest(n).nodes:
         assert (
             formula_forest(chain_normal_form(c), forest).members
             == downset(forest, [c]).members
@@ -248,7 +255,7 @@ def test_ordered_bell_matches_the_stirling_sum():
 
 def test_weak_ruspini_count_matches_exhaustive_enumeration():
     forest = enumerate_forest(2)
-    nodes = forest.nodes
+    nodes = reference_forest(2).nodes
     found = 0
     for r in range(len(nodes) + 1):
         for chosen in itertools.combinations(nodes, r):

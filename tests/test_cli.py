@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 from decimal import Decimal
@@ -17,8 +19,10 @@ from godelforest import (
     subforest_to_json,
 )
 from godelforest.cli import main
+from helpers import reference_forest
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+SRC = DATA.parent / "src"
 
 
 def run(capsys, *argv):
@@ -150,15 +154,16 @@ def test_forest_kinds(capsys):
     assert code == 0 and json.loads(out)["count"] == 8
     code, out, _ = run(capsys, "forest", "--n", "3", "--kind", "tn", "--format", "json")
     assert code == 0
-    forest = enumerate_forest(3)
     assert json.loads(out)["count"] == sum(
-        1 for c in forest.nodes if c.positive_count <= 2
+        1 for c in reference_forest(3).nodes if c.positive_count <= 2
     )
     code, out, _ = run(
         capsys, "forest", "--n", "3", "--kind", "fnt", "--t", "4", "--format", "json"
     )
     assert code == 0
-    assert json.loads(out)["count"] == sum(1 for c in forest.nodes if c.depth <= 3)
+    assert json.loads(out)["count"] == sum(
+        1 for c in reference_forest(3).nodes if c.depth <= 3
+    )
     code, _, err = run(capsys, "forest", "--n", "3", "--kind", "fnt")
     assert code == 2 and "--t" in err
 
@@ -279,6 +284,40 @@ def test_loaders_refuse_bad_and_deeply_nested_json(tmp_path, capsys, monkeypatch
     assert (code, out) == (1, "")
     assert err.startswith("error: in.json: not valid JSON: ") and err.count("\n") == 1
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("n", ["true", "1.0", '"1"'])
+@pytest.mark.parametrize("command", ["analyze", "axiomatize"])
+def test_partition_n_must_be_an_integer(tmp_path, capsys, command, n):
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"n": {n}, "sets": [{{"points": [["0", "1"], ["1", "1"]]}}]}}',
+                    encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    shown = {"true": "True", "1.0": "1.0", '"1"': "'1'"}[n]
+    assert err == f"error: 'n' must be an integer, got {shown}\n"
+
+
+def test_synthesize_and_analyze_at_n8_build_no_forest_of_classes(tmp_path):
+    # Two leaves of the 2,183,339-node forest: only their downset is ranked
+    # and walked, so neither run builds the forest's classes.
+    leaves = tmp_path / "leaves.json"
+    leaves.write_text(json.dumps([
+        {"zero": [3, 4, 5, 6, 7, 8], "mid": [[1], [2]], "one": []},
+        {"zero": [3, 4, 5, 6, 7, 8], "mid": [[2], [1]], "one": []},
+    ]), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    runs = [["synthesize", str(leaves), "--n", "8", "-o", str(tmp_path / "p.json")],
+            ["analyze", str(tmp_path / "p.json"), "--json"]]
+    for argv in runs:
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "godelforest.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert elapsed < 3, (argv, elapsed)
+    report = json.loads(proc.stdout)
+    assert report["n"] == 8 and report["weak_ruspini"] and len(report["realized_leaves"]) == 2
 
 
 def test_taut_deep_negation_chain(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -86,7 +87,7 @@ def test_representative_examples():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_representative_roundtrip(n):
-    for c in enumerate_forest(n).nodes:
+    for c in reference_forest(n).nodes:
         assert class_of_values(c.representative()) == c
 
 
@@ -116,9 +117,8 @@ def test_order_example_from_four_variables():
 
 def test_leq_reflexive_and_all_zero_isolated():
     for n in (1, 2, 3):
-        forest = enumerate_forest(n)
         all_zero = cls(n, zero=range(1, n + 1))
-        for c in forest.nodes:
+        for c in reference_forest(n).nodes:
             assert leq(c, c)
             if c != all_zero:
                 assert not leq(all_zero, c)
@@ -132,14 +132,14 @@ def test_leq_arity_mismatch():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_leq_matches_literal_definition_exhaustive(n):
-    nodes = enumerate_forest(n).nodes
+    nodes = reference_forest(n).nodes
     for a in nodes:
         for b in nodes:
             assert leq(a, b) == literal_leq(a, b), (a, b)
 
 
 def test_leq_matches_literal_definition_n4():
-    nodes = enumerate_forest(4).nodes
+    nodes = reference_forest(4).nodes
     for a in nodes:
         for b in nodes:
             assert leq(a, b) == literal_leq(a, b), (a, b)
@@ -150,7 +150,7 @@ def test_enumerate_small_forests():
     assert len(f1) == 3
     assert len(reference_forest(1).roots) == 2
     assert len(full_subforest(f1).leaves()) == 2
-    assert set(f1.nodes) == {cls(1, zero=[1]), cls(1, one=[1]), cls(1, mid=[[1]])}
+    assert full_subforest(f1).members == {cls(1, zero=[1]), cls(1, one=[1]), cls(1, mid=[[1]])}
 
     f2 = enumerate_forest(2)
     assert len(f2) == 11
@@ -162,7 +162,7 @@ def test_enumerate_small_forests():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumerate_matches_grid_sampling(n):
-    assert set(enumerate_forest(n).nodes) == grid_classes(n, n + 2)
+    assert full_subforest(enumerate_forest(n)).members == grid_classes(n, n + 2)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -171,8 +171,6 @@ def test_masks_equal_the_class_building_reference(n):
     for name in ("full", "_levels", "generators", "ruspini", "two_overlap"):
         assert getattr(forest, name) == getattr(ref, name), name
     assert len(forest) == len(ref.nodes)
-    if n <= 6:
-        assert forest.nodes == tuple(ref.nodes)
 
 
 def test_enumerate_forest_keeps_the_benchmark_contract():
@@ -182,7 +180,68 @@ def test_enumerate_forest_keeps_the_benchmark_contract():
     assert callable(enumerate_forest.cache_info)
     forest = enumerate_forest(8)
     assert len(forest) == 2_183_339
-    assert "nodes" not in forest.__dict__
+
+
+def test_downset_at_n8_builds_only_the_classes_it_touches():
+    leaves = [cls(8, zero=range(3, 9), mid=[[1], [2]]), cls(8, zero=range(3, 9), mid=[[2], [1]])]
+    tracemalloc.start()
+    try:
+        sub = downset(enumerate_forest(8), leaves)
+        members, maximal = sub.members, sub.leaves()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20, peak
+    assert len(members) == len(sub) == 5 and maximal == tuple(leaves)
+    assert all(c in sub for c in members)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_walk_and_path_equal_the_reference(n):
+    forest, ref = enumerate_forest(n), reference_forest(n)
+    classes, parents = forest.walk(forest.full)
+    assert classes == ref.nodes
+    assert parents == [None if p < 0 else p for p in ref.parent]
+    for i, c in enumerate(ref.nodes):
+        ancestors = [i]
+        while ref.parent[ancestors[0]] >= 0:
+            ancestors.insert(0, ref.parent[ancestors[0]])
+        assert forest.path(c) == ancestors, c
+
+
+def test_walk_members_and_leaves_match_the_reference_on_random_downsets():
+    rng = random.Random(9009)
+    for n in range(1, 6):
+        forest, ref = enumerate_forest(n), reference_forest(n)
+        index = {c: i for i, c in enumerate(ref.nodes)}
+        for _ in range(40):
+            seeds = rng.sample(ref.nodes, rng.randint(0, min(12, len(ref.nodes))))
+            ids = sorted({index[a] for c in seeds for a in downward_chain(c)})
+            sub = downset(forest, seeds)
+            assert sub.mask == sum(1 << i for i in ids)
+            position = {i: k for k, i in enumerate(ids)}
+            classes, parents = forest.walk(sub.mask)
+            assert classes == [ref.nodes[i] for i in ids]
+            assert parents == [None if ref.parent[i] < 0 else position[ref.parent[i]] for i in ids]
+            assert sub.members == frozenset(classes)
+            assert sub.leaves() == tuple(
+                ref.nodes[i] for i in ids
+                if not any(index[k] in position for k in ref.children[ref.nodes[i]])
+            )
+            assert [c in sub for c in ref.nodes] == [i in position for i in range(len(ref.nodes))]
+
+
+def test_classes_over_another_n_are_not_nodes():
+    f2 = enumerate_forest(2)
+    full = full_subforest(f2)
+    # The first two share a zero set with a root of f2.
+    for c in (cls(3, zero=[1], one=[2, 3]), cls(1, one=[1]), cls(3, zero=[1, 2, 3])):
+        assert f2.path(c) is None and c not in full
+        with pytest.raises(ValueError, match="is not a node of the forest"):
+            downset(f2, [cls(2, one=[1, 2]), c])
+        with pytest.raises(ValueError, match="is not a node of the ambient forest"):
+            Subforest(f2, [cls(2, one=[1, 2]), c])
+    assert "0<X1=X2=1" not in full
 
 
 def test_enumerate_guard():
@@ -195,7 +254,7 @@ def test_enumerate_guard():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_forest_arrays_are_the_class_key_preorder(n):
     forest = reference_forest(n)
-    nodes = enumerate_forest(n).nodes
+    nodes = forest.nodes
     assert list(nodes) == sorted(nodes, key=class_key)
     for i, c in enumerate(nodes):
         p = c.parent()
@@ -218,15 +277,14 @@ def test_chain_string():
     assert cls(3, mid=[[2], [1, 3]]).chain_string() == "0<X2<X1=X3<1"
 
 
-def test_classes_are_slotted_and_cache_their_label():
+def test_classes_are_slotted():
     forest = enumerate_forest(3)
-    node = forest.nodes[5]
+    node = forest.walk(forest.full)[0][5]
     assert not hasattr(node, "__dict__")
-    assert node.chain_string() is node.chain_string()
     fresh = AssignmentClass(node.n, node.zero, node.mid, node.one)
-    assert fresh == node and hash(fresh) == hash(node)  # labelled against unlabelled
-    assert fresh.chain_string() == node.chain_string() and fresh == node
-    assert repr(fresh) == repr(node) and "_chain" not in repr(node)
+    assert fresh == node and hash(fresh) == hash(node)  # walked against validated
+    assert fresh.chain_string() == node.chain_string()
+    assert repr(fresh) == repr(node)
 
 
 def test_structural_facts():
@@ -238,8 +296,8 @@ def test_structural_facts():
             r for r in ref.roots if not ref.children[r] and not r.one
         ]
         assert height_one_trees == [cls(n, zero=range(1, n + 1))]
-        assert set(full_subforest(forest).leaves()) == {c for c in forest.nodes if not c.one}
-        assert max(c.depth for c in forest.nodes) == n + 1
+        assert set(full_subforest(forest).leaves()) == {c for c in ref.nodes if not c.one}
+        assert max(c.depth for c in ref.nodes) == n + 1
 
 
 def test_ruspini_forest_membership():
@@ -267,7 +325,7 @@ def test_ruspini_leaves_are_subforest_maxima():
         sub = ruspini_subforest(enumerate_forest(n))
         assert set(sub.leaves()) == {c for c in sub.members if is_ruspini_leaf(c)}
         assert set(sub.members) == {
-            c for c in enumerate_forest(n).nodes if reference_in_ruspini_forest(c)
+            c for c in reference_forest(n).nodes if reference_in_ruspini_forest(c)
         }
 
 
@@ -278,7 +336,9 @@ def test_region_masks_equal_their_reference_predicates(n):
         (ruspini_subforest, reference_in_ruspini_forest),
         (two_overlap_subforest, reference_in_two_overlap_forest),
     ):
-        assert build(forest).members == frozenset(c for c in forest.nodes if member(c))
+        assert build(forest).members == frozenset(
+            c for c in reference_forest(n).nodes if member(c)
+        )
 
 
 def test_is_ruspini_subforest_matches_reference():
@@ -296,7 +356,7 @@ def test_is_ruspini_subforest_matches_reference():
 
 def test_two_overlap_forest():
     f2 = enumerate_forest(2)
-    assert two_overlap_subforest(f2).members == frozenset(f2.nodes)
+    assert two_overlap_subforest(f2).members == frozenset(reference_forest(2).nodes)
     f3 = enumerate_forest(3)
     t3 = two_overlap_subforest(f3)
     assert cls(3, mid=[[1], [2], [3]]) not in t3
@@ -333,7 +393,9 @@ def test_two_overlap_inside_height_four():
 def test_downset_examples():
     f2 = enumerate_forest(2)
     assert len(downset(f2, [])) == 0
-    assert downset(f2, full_subforest(f2).leaves()).members == frozenset(f2.nodes)
+    assert downset(f2, full_subforest(f2).leaves()).members == frozenset(
+        reference_forest(2).nodes
+    )
     c = cls(2, zero=[1], mid=[[2]])
     assert downset(f2, [c]).members == frozenset({c, cls(2, zero=[1], one=[2])})
     with pytest.raises(ValueError):
@@ -344,6 +406,10 @@ def test_subforest_requires_downward_closure():
     f2 = enumerate_forest(2)
     with pytest.raises(ValueError):
         Subforest(f2, frozenset({cls(2, mid=[[1], [2]])}))
+    # Two members lack their parent; the message names the one of lower id.
+    members = [cls(2, mid=[[2], [1]]), cls(2, mid=[[1], [2]]), cls(2, one=[1, 2])]
+    with pytest.raises(ValueError, match="^member set is not downward closed at 0<X1<X2<1$"):
+        Subforest(f2, members)
 
 
 def test_subforest_ops_basic_laws():
@@ -405,7 +471,7 @@ def test_implies_matches_the_downward_chain_definition():
 def test_constructor_accepts_exactly_the_downsets():
     rng = random.Random(2718)
     for n in (1, 2, 3):
-        nodes = enumerate_forest(n).nodes
+        nodes = reference_forest(n).nodes
         for _ in range(200):
             chosen = frozenset(rng.sample(nodes, rng.randint(0, len(nodes))))
             closed = all(c.parent() is None or c.parent() in chosen for c in chosen)
@@ -447,7 +513,7 @@ def test_is_ruspini_subforest():
 
 def test_order_is_a_partial_order_on_small_forests():
     # antisymmetry and transitivity, exhaustive over three variables
-    nodes = enumerate_forest(3).nodes
+    nodes = reference_forest(3).nodes
     for a in nodes:
         for b in nodes:
             if leq(a, b) and leq(b, a):
@@ -461,7 +527,7 @@ def test_order_is_a_partial_order_on_small_forests():
 
 def test_ancestor_sets_are_chains():
     for n in (1, 2, 3, 4):
-        for c in enumerate_forest(n).nodes:
+        for c in reference_forest(n).nodes:
             chain = list(downward_chain(c))
             assert chain[0] == c and chain[-1].parent() is None
             for higher, lower in zip(chain, chain[1:]):

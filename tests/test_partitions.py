@@ -141,7 +141,7 @@ def test_partition_forest_size_matches_generated_algebra(complementary_pair):
         algebra |= fresh
 
     fp = partition_forest(complementary_pair)
-    members = [fp.forest.nodes[i] for i in fp.node_ids()]
+    members = fp.forest.walk(fp.mask)[0]
     subforests = 0
     for r in range(len(members) + 1):
         for chosen in itertools.combinations(members, r):
