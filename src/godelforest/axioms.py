@@ -17,15 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .formulas import And, Bot, Formula, Iff, Implies, Lhd, Not, Or, Top, Var
+from .formulas import And, Bot, Formula, Iff, Lhd, Not, Or, Top, Var
 from .forest import (
     AssignmentClass,
     Subforest,
     downset,
     enumerate_forest,
+    full_subforest,
     is_ruspini_leaf,
     is_ruspini_subforest,
     leq,
+    truncated_subforest,
     two_overlap_subforest,
 )
 from .partitions import (
@@ -36,7 +38,7 @@ from .partitions import (
     partition_forest,
     realized_classes,
 )
-from .semantics import GINF, Logic, formula_forest, is_tautology, proves_equiv, proves_implies
+from .semantics import formula_forest
 
 
 def conjunction(terms: Sequence[Formula]) -> Formula:
@@ -235,28 +237,27 @@ def analyze(p: Partition) -> AnalysisReport:
     realized = realized_classes(p)
     fp = downset(forest, realized)
     alpha = axiomatize_subforest(fp)
-    tau = overlap_axiom(p.n)
-    g4 = Logic(4)
+    full, g4 = full_subforest(forest), truncated_subforest(forest, 4)
 
     ruspini_direct = all(
         any(leq(c, d) and is_ruspini_leaf(d) for d in realized) for c in realized
     )
     ruspini_forest_check = is_ruspini_subforest(fp)
     f_alpha = formula_forest(alpha, forest)
-    eq_rhs = disjunction(
+    f_rhs = formula_forest(disjunction(
         [chain_normal_form(l) for l in f_alpha.leaves() if is_ruspini_leaf(l)]
-    )
-    ruspini_proof = proves_equiv(alpha, eq_rhs, p.n, GINF)
+    ), forest)
+    f_iff = f_alpha.implies(f_rhs).meet(f_rhs.implies(f_alpha))
+    ruspini_proof = full.issubset(f_iff)
 
     overlap_direct = check_2_overlapping(p)
     overlap_forest_check = fp.issubset(two_overlap_subforest(forest))
-    overlap_proof = proves_implies(alpha, tau, p.n, g4)
+    f_implies = f_alpha.implies(formula_forest(overlap_axiom(p.n), forest))
+    overlap_proof = g4.issubset(f_implies)
 
     combined_direct = ruspini_direct and overlap_direct
     combined_forest = ruspini_forest_check and overlap_forest_check
-    combined_proof = is_tautology(
-        And(Iff(alpha, eq_rhs), Implies(alpha, tau)), p.n, g4
-    )
+    combined_proof = g4.issubset(f_iff.meet(f_implies))
 
     return AnalysisReport(
         n=p.n,

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 domain error (bad input data, guard violations),
 2 usage error.  All output is deterministic for a fixed invocation.
 
 Each subcommand imports the modules it runs when it runs, so a process
-loads no others: `count` loads only `counts`.
+loads no others: `count` loads only `counts`, and `forest` and `classify`
+load neither `formulas` nor `dataclasses`.
 """
 
 from __future__ import annotations

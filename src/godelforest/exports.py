@@ -10,7 +10,6 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, TextIO
 
 from .forest import AssignmentClass, Subforest
-from .formulas import format_formula
 
 if TYPE_CHECKING:
     from .axioms import AnalysisReport
@@ -124,7 +123,7 @@ def report_to_json(report: AnalysisReport) -> dict:
         "exact_ruspini": report.is_exact_ruspini,
         "weak_ruspini": report.is_weak_ruspini,
         "two_overlapping": report.is_2_overlapping,
-        "axiom": format_formula(report.axiom),
+        "axiom": str(report.axiom),
         "realized_leaves": leaves,
         "checks": {
             "weak_ruspini": triple(report.ruspini_checks),
@@ -149,7 +148,7 @@ def format_report(report: AnalysisReport) -> str:
         f"exact Ruspini: {yesno(report.is_exact_ruspini)}",
         f"weak Ruspini: {yesno(report.is_weak_ruspini)}",
         f"2-overlapping: {yesno(report.is_2_overlapping)}",
-        f"axiom: {format_formula(report.axiom)}",
+        f"axiom: {report.axiom}",
         f"realized leaves ({len(report.realized_leaves)}):",
     ]
     lines.extend(f"  {c.chain_string()}" for c in report.realized_leaves)

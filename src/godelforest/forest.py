@@ -17,17 +17,54 @@ classes themselves are built only when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 #: Enumeration guard: forests grow super-exponentially with n.
 MAX_FOREST_VARIABLES = 8
 
 
-@dataclass(frozen=True, slots=True)
-class AssignmentClass:
+class _Record:
+    """Frozen record: the fields are the slots named in `__match_args__`, and
+    instances compare, hash, print, copy and pickle as frozen slotted
+    dataclasses do, without the import of `dataclasses` and `inspect`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls.__match_args__)  # of one name: the value, not a tuple
+        cls._values = property(get if len(cls.__match_args__) > 1 else lambda s: (get(s),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values
+
+    def __setstate__(self, state: Iterable) -> None:
+        """Set the fields in order, as copy, pickle and each `__init__` do."""
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)
+
+
+class AssignmentClass(_Record):
     """Order/equality pattern of one assignment to X1..Xn.
 
     `zero` and `one` hold the variables at 0 and 1; `mid` holds the blocks of
@@ -35,32 +72,32 @@ class AssignmentClass:
     sorted tuples, so equality and hashing are canonical.
     """
 
+    __slots__ = __match_args__ = ("n", "zero", "mid", "one")
     n: int
     zero: tuple[int, ...]
     mid: tuple[tuple[int, ...], ...]
     one: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, zero: tuple, mid: tuple, one: tuple) -> None:
+        if n < 1:
             raise ValueError("a class needs at least one variable")
         seen: set[int] = set()
-        for block in (self.zero, *self.mid, self.one):
+        for block in (zero, *mid, one):
             for v in block:
                 if type(v) is not int:  # bool too: JSON true is not X1
                     raise ValueError(f"variable index {v!r} is not an integer")
-                if not 1 <= v <= self.n:
-                    raise ValueError(f"variable index {v} out of range 1..{self.n}")
+                if not 1 <= v <= n:
+                    raise ValueError(f"variable index {v} out of range 1..{n}")
                 if v in seen:
                     raise ValueError(f"variable index {v} appears in two blocks")
                 seen.add(v)
-        if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
+        if len(seen) != n:
+            missing = sorted(set(range(1, n + 1)) - seen)
             raise ValueError(f"blocks do not cover variables {missing}")
-        if any(not b for b in self.mid):
+        if any(not b for b in mid):
             raise ValueError("mid blocks must be nonempty")
-        object.__setattr__(self, "zero", tuple(sorted(self.zero)))
-        object.__setattr__(self, "mid", tuple(tuple(sorted(b)) for b in self.mid))
-        object.__setattr__(self, "one", tuple(sorted(self.one)))
+        mid = tuple(tuple(sorted(b)) for b in mid)
+        self.__setstate__((n, tuple(sorted(zero)), mid, tuple(sorted(one))))
 
     @property
     def depth(self) -> int:
@@ -98,15 +135,8 @@ class AssignmentClass:
     def chain_string(self) -> str:
         """Human-readable chain, e.g. "0=X1<X2<1" or "0<X1=X2<1"."""
         parts = ["0"]
-        blocks: list[tuple[bool, tuple[int, ...]]] = []
-        if self.zero:
-            blocks.append((True, self.zero))
-        for b in self.mid:
-            blocks.append((False, b))
-        if self.one:
-            blocks.append((False, self.one))
-        for pos, (is_zero, block) in enumerate(blocks):
-            lead = "=" if (pos == 0 and is_zero) else "<"
+        for pos, block in enumerate((self.zero, *self.mid, self.one)):
+            lead = "=" if pos == 0 else "<"  # only the zero block ties with 0
             for j, v in enumerate(block):
                 parts.append(lead if j == 0 else "=")
                 parts.append(f"X{v}")
@@ -393,8 +423,7 @@ def enumerate_forest(n: int) -> Forest:
     return Forest(n)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Subforest:
+class Subforest(_Record):
     """Downward-closed set of classes in an ambient forest, held as one
     bitmask over the forest's node ids.
 
@@ -404,6 +433,7 @@ class Subforest:
     results from masks without revalidating them.
     """
 
+    __slots__ = __match_args__ = ("forest", "mask")
     forest: Forest
     mask: int
 
@@ -421,15 +451,13 @@ class Subforest:
         if open_:
             c = named[(open_ & -open_).bit_length() - 1]
             raise ValueError(f"member set is not downward closed at {c}")
-        object.__setattr__(self, "forest", forest)
-        object.__setattr__(self, "mask", mask)
+        self.__setstate__((forest, mask))
 
     @classmethod
     def _from_mask(cls, forest: Forest, mask: int) -> "Subforest":
         """Wrap a mask already known to be a downset of forest."""
         sub = object.__new__(cls)
-        object.__setattr__(sub, "forest", forest)
-        object.__setattr__(sub, "mask", mask)
+        sub.__setstate__((forest, mask))
         return sub
 
     def _check_ambient(self, other: "Subforest") -> None:

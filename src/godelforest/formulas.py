@@ -24,7 +24,9 @@ from typing import Sequence
 
 
 class Formula:
-    """Immutable AST node; concrete kinds are the dataclasses below."""
+    """Immutable AST node; the kinds below stay dataclasses, unlike the
+    forest's records: only processes that build formulas load them, and
+    `perfbench/trace.py` walks them with `dataclasses.fields`."""
 
     __slots__ = ()
 

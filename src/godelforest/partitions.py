@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .forest import (
     AssignmentClass,
     Subforest,
+    _Record,
     class_of_values,
     downset,
     enumerate_forest,
@@ -38,7 +38,7 @@ def as_fraction(value: RationalLike) -> Fraction:
     (optionally signed, surrounding whitespace allowed)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):  # JSON true is not 1
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
         try:
@@ -48,20 +48,20 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise ValueError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearFuzzySet:
+class PiecewiseLinearFuzzySet(_Record):
     """One membership function, as a breakpoint list on [0, 1].
 
     Abscissae are nondecreasing, start at 0 and end at 1, and at most two
     points share an abscissa (a jump).  Values stay within [0, 1].
     """
 
+    __slots__ = __match_args__ = ("name", "points")
     name: str
     points: tuple[tuple[Fraction, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        pts = tuple((as_fraction(x), as_fraction(y)) for x, y in self.points)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, name: str, points: tuple[tuple[RationalLike, RationalLike], ...]) -> None:
+        pts = tuple((as_fraction(x), as_fraction(y)) for x, y in points)
+        self.__setstate__((name, pts))
         if len(pts) < 2:
             raise ValueError(f"set {self.name!r}: needs at least two points")
         for k, (x, y) in enumerate(pts):
@@ -123,14 +123,14 @@ class PiecewiseLinearFuzzySet:
         return self.value_at(x)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A finite nonempty family of fuzzy sets; Xi corresponds to sets[i-1]."""
 
+    __slots__ = __match_args__ = ("sets",)
     sets: tuple[PiecewiseLinearFuzzySet, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", tuple(self.sets))
+    def __init__(self, sets: tuple[PiecewiseLinearFuzzySet, ...]) -> None:
+        self.__setstate__((tuple(sets),))
         if not self.sets:
             raise ValueError("a partition needs at least one fuzzy set")
 

@@ -3,9 +3,10 @@ the class-building forest the mask-built forest is tested against, the
 per-node references the bitmask forest kernel is tested against, the
 class predicates the forest's region masks are tested against, the
 per-assignment reference the packed grid oracle is tested against, the
-node-by-node evaluator the formula programs are tested against, and the
+node-by-node evaluator the formula programs are tested against, the
 recursive scanner, parser and printer the formula front end is tested
-against."""
+against, and the frozen dataclasses the forest's and partitions' records
+are tested against."""
 
 from __future__ import annotations
 
@@ -28,9 +29,12 @@ from godelforest import (
     Not,
     Or,
     ParseError,
+    Partition,
+    PiecewiseLinearFuzzySet,
     Subforest,
     Top,
     Var,
+    as_fraction,
     class_of_values,
     conjunction,
     disjunction,
@@ -140,6 +144,19 @@ def random_ruspini_subforest(rng: random.Random, forest: Forest) -> Subforest:
     leaves = ruspini_subforest(forest).leaves()
     count = rng.randint(1, len(leaves))
     return downset(forest, rng.sample(leaves, count))
+
+
+def random_partition(rng: random.Random, n: int) -> Partition:
+    """n sets with up to three inner breakpoints on a grid of sixths, some of
+    them jumps, and values in quarters: mostly neither Ruspini nor
+    two-overlapping, with crossings inside pieces."""
+    sets = []
+    for i in range(1, n + 1):
+        inner = sorted(rng.sample(range(1, 6), rng.randint(0, 3)))
+        xs = [0] + [x for x in inner for _ in range(rng.choice((1, 1, 2)))] + [6]
+        points = tuple((Fraction(x, 6), Fraction(rng.randint(0, 4), 4)) for x in xs)
+        sets.append(PiecewiseLinearFuzzySet(f"f{i}", points))
+    return Partition(tuple(sets))
 
 
 def grid_classes(n: int, t: int) -> frozenset[AssignmentClass]:
@@ -630,3 +647,116 @@ def reference_format_formula(f: Formula) -> str:
             )
             return f"{left_s} {sym} {right_s}"
     raise TypeError(f"not a formula: {f!r}")
+
+
+# The frozen dataclasses that AssignmentClass, Subforest,
+# PiecewiseLinearFuzzySet and Partition were, with their validation, the
+# reference for the records' equality, hashing, repr, pattern matching,
+# immutability and messages.  Each prints under the name of the class it
+# stands for.
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceAssignmentClass:
+    n: int
+    zero: tuple[int, ...]
+    mid: tuple[tuple[int, ...], ...]
+    one: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("a class needs at least one variable")
+        seen: set[int] = set()
+        for block in (self.zero, *self.mid, self.one):
+            for v in block:
+                if type(v) is not int:  # bool too: JSON true is not X1
+                    raise ValueError(f"variable index {v!r} is not an integer")
+                if not 1 <= v <= self.n:
+                    raise ValueError(f"variable index {v} out of range 1..{self.n}")
+                if v in seen:
+                    raise ValueError(f"variable index {v} appears in two blocks")
+                seen.add(v)
+        if len(seen) != self.n:
+            missing = sorted(set(range(1, self.n + 1)) - seen)
+            raise ValueError(f"blocks do not cover variables {missing}")
+        if any(not b for b in self.mid):
+            raise ValueError("mid blocks must be nonempty")
+        object.__setattr__(self, "zero", tuple(sorted(self.zero)))
+        object.__setattr__(self, "mid", tuple(tuple(sorted(b)) for b in self.mid))
+        object.__setattr__(self, "one", tuple(sorted(self.one)))
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class ReferenceSubforest:
+    forest: Forest
+    mask: int
+
+    def __repr__(self) -> str:
+        return f"Subforest(n={self.forest.n}, members={self.mask.bit_count()})"
+
+
+@dataclass(frozen=True)
+class ReferencePiecewiseLinearFuzzySet:
+    name: str
+    points: tuple[tuple[Fraction, Fraction], ...]
+
+    def __post_init__(self) -> None:
+        pts = tuple((as_fraction(x), as_fraction(y)) for x, y in self.points)
+        object.__setattr__(self, "points", pts)
+        if len(pts) < 2:
+            raise ValueError(f"set {self.name!r}: needs at least two points")
+        for k, (x, y) in enumerate(pts):
+            if not 0 <= x <= 1:
+                raise ValueError(f"set {self.name!r}, point {k}: abscissa {x} outside [0, 1]")
+            if not 0 <= y <= 1:
+                raise ValueError(f"set {self.name!r}, point {k}: value {y} outside [0, 1]")
+        if pts[0][0] != 0:
+            raise ValueError(f"set {self.name!r}, point 0: first abscissa must be 0")
+        if pts[-1][0] != 1:
+            raise ValueError(f"set {self.name!r}, point {len(pts) - 1}: last abscissa must be 1")
+        for k in range(1, len(pts)):
+            if pts[k][0] < pts[k - 1][0]:
+                raise ValueError(
+                    f"set {self.name!r}, point {k}: abscissae must be nondecreasing"
+                )
+        counts: dict[Fraction, int] = {}
+        for x, _ in pts:
+            counts[x] = counts.get(x, 0) + 1
+        for k, (x, _) in enumerate(pts):
+            if counts[x] > 2:
+                raise ValueError(
+                    f"set {self.name!r}, point {k}: abscissa {x} appears more than twice"
+                )
+
+
+@dataclass(frozen=True)
+class ReferencePartition:
+    sets: tuple[ReferencePiecewiseLinearFuzzySet, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sets", tuple(self.sets))
+        if not self.sets:
+            raise ValueError("a partition needs at least one fuzzy set")
+
+
+#: record class -> the dataclass it is tested against
+REFERENCE_RECORDS = {
+    AssignmentClass: ReferenceAssignmentClass,
+    Subforest: ReferenceSubforest,
+    PiecewiseLinearFuzzySet: ReferencePiecewiseLinearFuzzySet,
+    Partition: ReferencePartition,
+}
+for _record, _reference in REFERENCE_RECORDS.items():
+    _reference.__qualname__ = _record.__qualname__
+
+
+def reference_record(record):
+    """The dataclass instance holding the same field values as the record;
+    a Partition's sets become reference sets too."""
+    ref = object.__new__(REFERENCE_RECORDS[type(record)])
+    for name in ref.__match_args__:
+        value = getattr(record, name)
+        if name == "sets":
+            value = tuple(reference_record(f) for f in value)
+        object.__setattr__(ref, name, value)
+    return ref

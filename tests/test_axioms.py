@@ -10,6 +10,7 @@ from godelforest import (
     And,
     Bot,
     Iff,
+    Implies,
     Lhd,
     Logic,
     Not,
@@ -27,12 +28,15 @@ from godelforest import (
     count_2overlap_weak_ruspini,
     count_leaves,
     count_weak_ruspini,
+    disjunction,
     downset,
     empty_subforest,
     enumerate_forest,
     formula_forest,
     full_subforest,
+    is_ruspini_leaf,
     is_ruspini_subforest,
+    is_tautology,
     is_weak_ruspini,
     ordered_bell,
     overlap_axiom,
@@ -50,6 +54,7 @@ from godelforest.counts import COUNT_MAX_N
 from helpers import (
     cls,
     fr,
+    random_partition,
     random_ruspini_subforest,
     reference_forest,
     reference_ordered_bell,
@@ -418,6 +423,59 @@ def test_analyze_consistency_and_finite_logic_agreement():
         assert proves_implies(alpha, tau, p.n, g4) == proves_implies(
             alpha, tau, p.n, GINF
         )
+
+
+def test_analyze_proof_entries_equal_the_decision_procedures():
+    # The report reads its proof verdicts off three value-1 subforests; the
+    # decision procedures build the compound formulas and evaluate them anew.
+    rng = random.Random(90210)
+    g4 = Logic(4)
+    verdicts = set()
+    for k in range(48):
+        n = 1 + k % 4
+        if k % 3:
+            p = random_partition(rng, n)
+        else:
+            p = synthesize_partition(random_ruspini_subforest(rng, enumerate_forest(n)), n)
+        report = analyze(p)
+        alpha, tau = report.axiom, overlap_axiom(n)
+        rhs = disjunction([chain_normal_form(c) for c in
+                           formula_forest(alpha, enumerate_forest(n)).leaves()
+                           if is_ruspini_leaf(c)])
+        expected = (
+            proves_equiv(alpha, rhs, n, GINF),
+            proves_implies(alpha, tau, n, g4),
+            is_tautology(And(Iff(alpha, rhs), Implies(alpha, tau)), n, g4),
+        )
+        assert is_tautology(Iff(alpha, rhs), n, GINF) is expected[0]
+        assert is_tautology(Implies(alpha, tau), n, g4) is expected[1]
+        got = (report.ruspini_checks[2], report.overlap_checks[2], report.combined_checks[2])
+        assert got == expected, p
+        verdicts.add(expected)
+    # Each check says yes on some partitions and no on others.
+    assert all({v[i] for v in verdicts} == {True, False} for i in range(3))
+
+
+def test_analyze_evaluates_each_formula_once(monkeypatch):
+    import godelforest.axioms
+    import godelforest.semantics
+
+    evaluated = []
+    original = godelforest.semantics.formula_forest
+
+    def counting(f, forest):
+        evaluated.append(f)
+        return original(f, forest)
+
+    monkeypatch.setattr(godelforest.semantics, "formula_forest", counting)
+    monkeypatch.setattr(godelforest.axioms, "formula_forest", counting)
+    p = synthesize_partition(ruspini_subforest(enumerate_forest(3)), 3)
+    report = analyze(p)
+    # alpha, the right-hand side of the equivalence, and tau; once each.
+    assert len(evaluated) == 3
+    assert evaluated[0] is report.axiom and evaluated[2] == overlap_axiom(3)
+    assert report.ruspini_checks == (True, True, True)
+    assert report.overlap_checks == report.combined_checks == (False, False, False)
 
 
 def test_axiomatize_arbitrary_subforests():

@@ -298,6 +298,20 @@ def test_partition_n_must_be_an_integer(tmp_path, capsys, command, n):
     assert err == f"error: 'n' must be an integer, got {shown}\n"
 
 
+@pytest.mark.parametrize("points, shown", [
+    ("[[false, true], [true, true]]", "False"),
+    ('[["0", "1"], [1, true]]', "True"),
+], ids=["abscissa", "value"])
+def test_partition_rationals_are_not_booleans(tmp_path, capsys, points, shown):
+    # JSON true once read as 1, so the first file was the constant-1 set.
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"sets": [{{"points": {points}}}]}}', encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (1, "")
+    point = 0 if shown == "False" else 1
+    assert err == f"error: set 'f1', point {point}: not an exact rational: {shown}\n"
+
+
 def test_synthesize_and_analyze_at_n8_build_no_forest_of_classes(tmp_path):
     # Two leaves of the 2,183,339-node forest: only their downset is ranked
     # and walked, so neither run builds the forest's classes.

@@ -85,12 +85,15 @@ def test_package_reads_the_patched_binding(monkeypatch):
     assert "is_tautology" not in vars(godelforest)
 
 
+# The package's submodules a subcommand loads, and which of the standard
+# library's `dataclasses` and `inspect` (costly to import) it loads.
 FOOTPRINT = (
     "import contextlib, io, json, sys\n"
     "from godelforest.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('godelforest.'))]))\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('godelforest.')\n"
+    "                                or m in ('dataclasses', 'inspect'))]))\n"
 )
 
 
@@ -122,5 +125,13 @@ def test_decisions_load_no_partitions_axioms_or_exports(argv):
 ])
 def test_forest_and_classify_load_no_semantics_or_axioms(argv):
     loaded = loaded_modules(*argv)
-    assert {"forest", "exports"} <= loaded
-    assert not loaded & {"semantics", "axioms"}
+    expected = {"cli", "exports", "forest"} | ({"partitions"} if argv[0] == "classify" else set())
+    assert loaded == expected
+    assert not loaded & {"formulas", "semantics", "axioms", "dataclasses", "inspect"}
+
+
+def test_analyze_loads_formulas_and_dataclasses():
+    # The footprint script sees both modules where they are loaded.
+    path = pathlib.Path(SRC).parent / "data" / "partitions"
+    loaded = loaded_modules("analyze", str(sorted(path.glob("*.json"))[0]))
+    assert {"formulas", "axioms", "dataclasses", "inspect"} <= loaded

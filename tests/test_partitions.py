@@ -317,6 +317,13 @@ def test_as_fraction_takes_only_integers_and_p_over_q():
             as_fraction(text)
     with pytest.raises(ValueError, match="zero denominator"):
         as_fraction("1/0")
+    for value in (True, False, 0.5):
+        with pytest.raises(ValueError, match=f"^not an exact rational: {value}$"):
+            as_fraction(value)
+    with pytest.raises(ValueError, match="point 1: not an exact rational: True"):
+        partition_from_json({"sets": [{"points": [["0", "1"], ["1", True]]}]})
+    with pytest.raises(ValueError, match="not an exact rational: False"):
+        PiecewiseLinearFuzzySet("f1", ((False, 1), (1, 1)))
 
 
 # Texts that make a valid partition and texts that must be refused.
