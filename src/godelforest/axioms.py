@@ -11,9 +11,9 @@ interval sum to 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,6 +21,7 @@ from .formulas import And, Bot, Formula, Iff, Lhd, Not, Or, Top, Var
 from .forest import (
     AssignmentClass,
     Subforest,
+    _Record,
     downset,
     enumerate_forest,
     full_subforest,
@@ -44,23 +45,13 @@ from .semantics import formula_forest
 def conjunction(terms: Sequence[Formula]) -> Formula:
     """Left fold under &; the empty conjunction is 1."""
     items = list(terms)
-    if not items:
-        return Top()
-    result = items[0]
-    for term in items[1:]:
-        result = And(result, term)
-    return result
+    return functools.reduce(And, items) if items else Top()
 
 
 def disjunction(terms: Sequence[Formula]) -> Formula:
     """Left fold under |; the empty disjunction is 0."""
     items = list(terms)
-    if not items:
-        return Bot()
-    result = items[0]
-    for term in items[1:]:
-        result = Or(result, term)
-    return result
+    return functools.reduce(Or, items) if items else Bot()
 
 
 def chain_normal_form(c: AssignmentClass) -> Formula:
@@ -200,8 +191,7 @@ def synthesize_partition(sub: Subforest, n: int) -> Partition:
     return Partition(tuple(sets))
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(_Record):
     """Full verdict sheet for one partition.
 
     Each check triple holds (direct, forest, proof) verdicts for one
@@ -210,6 +200,10 @@ class AnalysisReport:
     must always agree.
     """
 
+    __slots__ = __match_args__ = (
+        "n", "realized_leaves", "is_exact_ruspini", "is_weak_ruspini", "is_2_overlapping",
+        "axiom", "ruspini_checks", "overlap_checks", "combined_checks",
+    )
     n: int
     realized_leaves: tuple[AssignmentClass, ...]
     is_exact_ruspini: bool
@@ -219,6 +213,11 @@ class AnalysisReport:
     ruspini_checks: tuple[bool, bool, bool]
     overlap_checks: tuple[bool, bool, bool]
     combined_checks: tuple[bool, bool, bool]
+
+    def __init__(self, n, realized_leaves, is_exact_ruspini, is_weak_ruspini, is_2_overlapping,
+                 axiom, ruspini_checks, overlap_checks, combined_checks) -> None:
+        self.__setstate__((n, realized_leaves, is_exact_ruspini, is_weak_ruspini, is_2_overlapping,
+                           axiom, ruspini_checks, overlap_checks, combined_checks))
 
 
 def analyze(p: Partition) -> AnalysisReport:

@@ -3,15 +3,14 @@
 Exit codes: 0 success, 1 domain error (bad input data, guard violations),
 2 usage error.  All output is deterministic for a fixed invocation.
 
-Each subcommand imports the modules it runs when it runs, so a process
-loads no others: `count` loads only `counts`, and `forest` and `classify`
-load neither `formulas` nor `dataclasses`.
+Each subcommand imports what it runs, `json` included, when it runs, so
+a process loads nothing more: `count` loads only `counts`, and `forest`
+and `classify` do not load `formulas`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 #: Largest n whose forest `forest` exports: the n = 8 export needs gigabytes
@@ -21,6 +20,8 @@ MAX_EXPORT_VARIABLES = 7
 
 
 def _load_json(path: str) -> object:
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
@@ -72,6 +73,8 @@ def _cmd_forest(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    import json
+
     from .exports import class_to_json
     from .forest import class_of_values
     from .partitions import as_fraction
@@ -85,6 +88,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    import json
+
     from .axioms import analyze
     from .exports import format_report, report_to_json
 
@@ -127,10 +132,9 @@ def _cmd_taut(args: argparse.Namespace) -> int:
     _check_n(args.n)
     logic = parse_logic(args.logic)
     formula = parse_formula(args.formula)
-    if arity(formula) > args.n:
-        raise ValueError(
-            f"formula uses X{arity(formula)} but --n is {args.n}"
-        )
+    k = arity(formula)
+    if k > args.n:
+        raise ValueError(f"formula uses X{k} but --n is {args.n}")
     if args.oracle:
         if not logic.is_finite:
             print("error: --oracle needs a finite-valued logic", file=sys.stderr)
@@ -149,16 +153,17 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     _check_n(args.n)
     logic = parse_logic(args.logic)
     a, b = parse_formula(args.first), parse_formula(args.second)
-    if max(arity(a), arity(b)) > args.n:
-        raise ValueError(
-            f"formulas use X{max(arity(a), arity(b))} but --n is {args.n}"
-        )
+    k = max(arity(a), arity(b))
+    if k > args.n:
+        raise ValueError(f"formulas use X{k} but --n is {args.n}")
     verdict = proves_equiv(a, b, args.n, logic)
     print("equivalent" if verdict else "not equivalent")
     return 0
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
+    import json
+
     from .axioms import synthesize_partition
     from .exports import class_from_json
     from .forest import downset, enumerate_forest
@@ -186,12 +191,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 def _cmd_count(args: argparse.Namespace) -> int:
     from .counts import count_2overlap_weak_ruspini, count_leaves, count_weak_ruspini
 
-    if args.kind == "leaves":
-        count = count_leaves(args.n)
-    elif args.kind == "weak-ruspini":
-        count = count_weak_ruspini(args.n)
-    else:
-        count = count_2overlap_weak_ruspini(args.n)
+    count = {"leaves": count_leaves, "weak-ruspini": count_weak_ruspini,
+             "overlap2": count_2overlap_weak_ruspini}[args.kind](args.n)
     # Counts are printed in full, past Python's default limit on the digits
     # of an int-to-str conversion (4,300); the limit is restored after.
     # Pythons before 3.10.7 have no such limit and no way to query it.

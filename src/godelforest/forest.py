@@ -27,15 +27,16 @@ MAX_FOREST_VARIABLES = 8
 
 
 class _Record:
-    """Frozen record: the fields are the slots named in `__match_args__`, and
-    instances compare, hash, print, copy and pickle as frozen slotted
-    dataclasses do, without the import of `dataclasses` and `inspect`."""
+    """Frozen record: the fields are the slots named in `__match_args__`.
+    Every value type of the package is one; they compare, hash, print,
+    match, copy and pickle as frozen slotted dataclass instances do."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        get = attrgetter(*cls.__match_args__)  # of one name: the value, not a tuple
-        cls._values = property(get if len(cls.__match_args__) > 1 else lambda s: (get(s),))
+        names = cls.__match_args__  # attrgetter of one name gives the value, of none fails
+        get = attrgetter(*names) if names else lambda s: ()
+        cls._values = property(get if len(names) != 1 else lambda s: (get(s),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -46,8 +47,9 @@ class _Record:
         return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values))
-        return f"{type(self).__qualname__}({fields})"
+        # Not a join over a generator: reprs nested in C calls print a quarter less deep.
+        fields = [f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values)]
+        return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -59,7 +61,7 @@ class _Record:
         return self._values
 
     def __setstate__(self, state: Iterable) -> None:
-        """Set the fields in order, as copy, pickle and each `__init__` do."""
+        """Set the fields in order: for copy, pickle and some `__init__`s."""
         for name, value in zip(self.__match_args__, state):
             object.__setattr__(self, name, value)
 
@@ -196,16 +198,6 @@ def _flags_to_mask(flags: bytearray) -> int:
     return int(flags.translate(_DIGITS)[::-1], 2)
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    digits = format(mask, "b")[::-1]
-    ids, i = [], digits.find("1")
-    while i >= 0:
-        ids.append(i)
-        i = digits.find("1", i + 1)
-    return ids
-
-
 class Forest:
     """All assignment classes over n variables, as bitmasks over node ids.
 
@@ -326,6 +318,10 @@ class Forest:
     def __repr__(self) -> str:
         return f"Forest(n={self.n}, nodes={len(self)})"
 
+    def __reduce__(self) -> tuple:
+        """A copy or unpickled forest is the cached one, so subforests combine."""
+        return enumerate_forest, (self.n,)
+
 
 _SET_N, _SET_ZERO, _SET_MID, _SET_ONE = (
     getattr(AssignmentClass, name).__set__ for name in ("n", "zero", "mid", "one")
@@ -433,7 +429,8 @@ class Subforest(_Record):
     results from masks without revalidating them.
     """
 
-    __slots__ = __match_args__ = ("forest", "mask")
+    __match_args__ = ("forest", "mask")
+    __slots__ = (*__match_args__, "_walked")  # forest.walk(mask), on first use
     forest: Forest
     mask: int
 
@@ -464,18 +461,19 @@ class Subforest(_Record):
         if self.forest is not other.forest:
             raise ValueError("subforests live in different ambient forests")
 
-    def node_ids(self) -> list[int]:
-        """Ids of the members, ascending (canonical order)."""
-        return _bits(self.mask)
+    def _walk(self) -> tuple[list[AssignmentClass], list[Optional[int]]]:
+        if not hasattr(self, "_walked"):
+            object.__setattr__(self, "_walked", self.forest.walk(self.mask))
+        return self._walked
 
     @property
     def members(self) -> frozenset[AssignmentClass]:
-        return frozenset(self.forest.walk(self.mask)[0])
+        return frozenset(self._walk()[0])
 
     def leaves(self) -> tuple[AssignmentClass, ...]:
         """Maximal elements (members that are no member's parent), in
         canonical order."""
-        members, parents = self.forest.walk(self.mask)
+        members, parents = self._walk()
         inner = set(parents)
         return tuple(c for k, c in enumerate(members) if k not in inner)
 

@@ -18,74 +18,81 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .forest import _Record
 
-class Formula:
-    """Immutable AST node; the kinds below stay dataclasses, unlike the
-    forest's records: only processes that build formulas load them, and
-    `perfbench/trace.py` walks them with `dataclasses.fields`."""
 
-    __slots__ = ()
+class Formula(_Record):
+    """Immutable AST node, a frozen record.  Each kind's `__init__` sets its
+    slots with `object.__setattr__`, as a dataclass's does, so that parsing
+    and the axiom builders pay no more per node."""
+
+    __slots__ = __match_args__ = ()
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Formula):
+    __slots__ = __match_args__ = ("index",)
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"variable index must be at least 1, got {self.index}")
+    def __init__(self, index: int) -> None:
+        if type(index) is not int:  # bool too: X1 is not XTrue
+            raise ValueError(f"variable index {index!r} is not an integer")
+        if index < 1:
+            raise ValueError(f"variable index must be at least 1, got {index}")
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
+    __slots__ = __match_args__ = ("child",)
     child: Formula
 
+    def __init__(self, child: Formula) -> None:
+        object.__setattr__(self, "child", child)
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
+
+class _Binary(Formula):
+    """Fields of the binary kinds; each is its own type: And(a, b) != Or(a, b)."""
+
+    __slots__ = __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
-
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+    def __init__(self, left: Formula, right: Formula) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Lhd(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
+
+
+class Lhd(_Binary):
+    __slots__ = ()
 
 
 #: The syntax: each node kind's token text and precedence (higher binds

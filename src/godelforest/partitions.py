@@ -78,11 +78,8 @@ class PiecewiseLinearFuzzySet(_Record):
                 raise ValueError(
                     f"set {self.name!r}, point {k}: abscissae must be nondecreasing"
                 )
-        counts: dict[Fraction, int] = {}
-        for x, _ in pts:
-            counts[x] = counts.get(x, 0) + 1
-        for k, (x, _) in enumerate(pts):
-            if counts[x] > 2:
+        for k, (x, _) in enumerate(pts[2:]):  # sorted: a third point at x is two on from k
+            if x == pts[k][0]:
                 raise ValueError(
                     f"set {self.name!r}, point {k}: abscissa {x} appears more than twice"
                 )

@@ -12,25 +12,27 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .formulas import And, Formula, Iff, Implies, Lhd, Not, Or, eval_formula, program, run
-from .forest import Forest, Subforest, enumerate_forest
+from .forest import Forest, Subforest, _Record, enumerate_forest
 
 #: Assignments the grid oracle is willing to enumerate.
 GRID_ORACLE_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class Logic:
+class Logic(_Record):
     """Infinite-valued Goedel logic by default; t-valued when t is set."""
 
-    t: Optional[int] = None
+    __slots__ = __match_args__ = ("t",)
+    t: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.t is not None and self.t < 2:
-            raise ValueError(f"a finite-valued logic needs t >= 2, got {self.t}")
+    def __init__(self, t: Optional[int] = None) -> None:
+        if t is not None and type(t) is not int:  # bool too: True is not a count
+            raise ValueError(f"truth-value count {t!r} is not an integer")
+        if t is not None and t < 2:
+            raise ValueError(f"a finite-valued logic needs t >= 2, got {t}")
+        object.__setattr__(self, "t", t)
 
     @property
     def is_finite(self) -> bool:
@@ -61,10 +63,6 @@ def formula_forest(f: Formula, forest: Forest) -> Subforest:
     Shared subformula objects are evaluated once, and each mask is dropped
     after its last use.
     """
-    return Subforest._from_mask(forest, _value_one_mask(f, forest))
-
-
-def _value_one_mask(f: Formula, forest: Forest) -> int:
     full, implies, upset = forest.full, forest.implies, forest.upset
     ops = {
         Not: lambda a: full ^ upset(a),
@@ -74,7 +72,7 @@ def _value_one_mask(f: Formula, forest: Forest) -> int:
         Iff: lambda a, b: implies(a, b) & implies(b, a),
         Lhd: lambda a, b: implies(implies(b, a), b),
     }
-    return run(program(f), forest.generators, 0, full, ops)
+    return Subforest._from_mask(forest, run(program(f), forest.generators, 0, full, ops))
 
 
 def _region(forest: Forest, logic: Logic) -> int:

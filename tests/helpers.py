@@ -5,19 +5,22 @@ class predicates the forest's region masks are tested against, the
 per-assignment reference the packed grid oracle is tested against, the
 node-by-node evaluator the formula programs are tested against, the
 recursive scanner, parser and printer the formula front end is tested
-against, and the frozen dataclasses the forest's and partitions' records
-are tested against."""
+against, and the frozen dataclasses the package's records (classes,
+subforests, partitions, formulas, logics and reports) are tested
+against."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from typing import Optional
 
 from godelforest import (
+    AnalysisReport,
     And,
     AssignmentClass,
     Bot,
@@ -26,6 +29,7 @@ from godelforest import (
     Iff,
     Implies,
     Lhd,
+    Logic,
     Not,
     Or,
     ParseError,
@@ -649,8 +653,7 @@ def reference_format_formula(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-# The frozen dataclasses that AssignmentClass, Subforest,
-# PiecewiseLinearFuzzySet and Partition were, with their validation, the
+# The frozen dataclasses that the records were, with their validation, the
 # reference for the records' equality, hashing, repr, pattern matching,
 # immutability and messages.  Each prints under the name of the class it
 # stands for.
@@ -739,24 +742,85 @@ class ReferencePartition:
             raise ValueError("a partition needs at least one fuzzy set")
 
 
+@dataclass(frozen=True, slots=True)
+class ReferenceVar:
+    index: int
+
+    def __post_init__(self) -> None:
+        if self.index < 1:
+            raise ValueError(f"variable index must be at least 1, got {self.index}")
+
+
+# The other formula kinds declared nothing but their fields.
+ReferenceBot, ReferenceTop = (
+    make_dataclass(name, [], frozen=True, slots=True) for name in ("Bot", "Top")
+)
+ReferenceNot = make_dataclass("Not", [("child", Formula)], frozen=True, slots=True)
+ReferenceAnd, ReferenceOr, ReferenceImplies, ReferenceIff, ReferenceLhd = (
+    make_dataclass(name, [("left", Formula), ("right", Formula)], frozen=True, slots=True)
+    for name in ("And", "Or", "Implies", "Iff", "Lhd")
+)
+
+
+@dataclass(frozen=True)
+class ReferenceLogic:
+    t: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.t is not None and self.t < 2:
+            raise ValueError(f"a finite-valued logic needs t >= 2, got {self.t}")
+
+
+@dataclass(frozen=True)
+class ReferenceAnalysisReport:
+    n: int
+    realized_leaves: tuple[AssignmentClass, ...]
+    is_exact_ruspini: bool
+    is_weak_ruspini: bool
+    is_2_overlapping: bool
+    axiom: Formula
+    ruspini_checks: tuple[bool, bool, bool]
+    overlap_checks: tuple[bool, bool, bool]
+    combined_checks: tuple[bool, bool, bool]
+
+
 #: record class -> the dataclass it is tested against
 REFERENCE_RECORDS = {
     AssignmentClass: ReferenceAssignmentClass,
     Subforest: ReferenceSubforest,
     PiecewiseLinearFuzzySet: ReferencePiecewiseLinearFuzzySet,
     Partition: ReferencePartition,
+    Var: ReferenceVar,
+    Bot: ReferenceBot,
+    Top: ReferenceTop,
+    Not: ReferenceNot,
+    And: ReferenceAnd,
+    Or: ReferenceOr,
+    Implies: ReferenceImplies,
+    Iff: ReferenceIff,
+    Lhd: ReferenceLhd,
+    Logic: ReferenceLogic,
+    AnalysisReport: ReferenceAnalysisReport,
 }
 for _record, _reference in REFERENCE_RECORDS.items():
     _reference.__qualname__ = _record.__qualname__
 
 
 def reference_record(record):
-    """The dataclass instance holding the same field values as the record;
-    a Partition's sets become reference sets too."""
+    """The dataclass instance holding the same field values as the record.
+    Records among the values, also inside tuples, become references too:
+    a partition's sets, a formula's subformulas, a report's classes and
+    axiom."""
     ref = object.__new__(REFERENCE_RECORDS[type(record)])
     for name in ref.__match_args__:
-        value = getattr(record, name)
-        if name == "sets":
-            value = tuple(reference_record(f) for f in value)
-        object.__setattr__(ref, name, value)
+        object.__setattr__(ref, name, reference_value(getattr(record, name)))
     return ref
+
+
+def reference_value(value):
+    """A field value with every record in it replaced by its reference."""
+    if type(value) in REFERENCE_RECORDS:
+        return reference_record(value)
+    if type(value) is tuple:
+        return tuple(map(reference_value, value))
+    return value

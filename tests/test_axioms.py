@@ -478,6 +478,24 @@ def test_analyze_evaluates_each_formula_once(monkeypatch):
     assert report.overlap_checks == report.combined_checks == (False, False, False)
 
 
+def test_analyze_walks_each_subforest_once(monkeypatch):
+    walked = []
+    original = Forest.walk
+
+    def counting(forest, mask):
+        walked.append(mask)
+        return original(forest, mask)
+
+    p = synthesize_partition(ruspini_subforest(enumerate_forest(3)), 3)
+    monkeypatch.setattr(Forest, "walk", counting)
+    report = analyze(p)
+    # The realized forest (axiomatized, checked and reported) and alpha's
+    # value-1 set (for the equivalence's right-hand side): equal masks, two
+    # subforests, one walk each.
+    assert walked == [enumerate_forest(3).ruspini] * 2
+    assert report.realized_leaves == ruspini_subforest(enumerate_forest(3)).leaves()
+
+
 def test_axiomatize_arbitrary_subforests():
     # the normal-form disjunction works for any nonempty downset, not just
     # the ones a partition can realize

@@ -69,7 +69,9 @@ def test_taut_oracle_flag(capsys):
 def test_taut_arity_error(capsys):
     code, _, err = run(capsys, "taut", "--n", "2", "--logic", "ginf", "X3")
     assert code == 1
-    assert "X3" in err
+    assert err == "error: formula uses X3 but --n is 2\n"
+    assert run(capsys, "equiv", "--n", "2", "X1", "X2 & X3") == (
+        1, "", "error: formulas use X3 but --n is 2\n")
 
 
 @pytest.mark.parametrize("argv", [

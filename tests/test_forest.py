@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from godelforest import (
     AssignmentClass,
+    Forest,
     class_of_values,
     downset,
     empty_subforest,
@@ -429,6 +432,44 @@ def test_subforest_ambient_mismatch():
     b = full_subforest(enumerate_forest(3))
     with pytest.raises(ValueError):
         a.meet(b)
+
+
+def test_copied_and_pickled_subforests_live_in_the_cached_forest():
+    forest = enumerate_forest(3)
+    assert copy.deepcopy(forest) is forest and copy.copy(forest) is forest
+    assert pickle.loads(pickle.dumps(Forest(3))) is forest  # also from an uncached build
+    for sub in (full_subforest(forest), ruspini_subforest(forest), empty_subforest(forest),
+                generating_subforest(2, forest)):
+        again = [copy.deepcopy(sub)]
+        again += [pickle.loads(pickle.dumps(sub, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in again:
+            assert other.forest is forest and other == sub and hash(other) == hash(sub)
+            assert other.meet(full_subforest(forest)) == sub
+            assert sub.implies(other) == full_subforest(forest)
+            assert other.join(ruspini_subforest(forest)).mask == sub.mask | forest.ruspini
+
+
+def test_subforest_walks_its_mask_at_most_once(monkeypatch):
+    forest = enumerate_forest(4)
+    walked = []
+    original = Forest.walk
+
+    def counting(forest, mask):
+        walked.append(mask)
+        return original(forest, mask)
+
+    monkeypatch.setattr(Forest, "walk", counting)
+    sub = ruspini_subforest(forest)
+    assert sub.members == sub.members and sub.leaves() == sub.leaves()
+    assert is_ruspini_subforest(sub)
+    assert walked == [forest.ruspini]
+    # The walk is no field: equality, hash, repr and pickling ignore it.
+    fresh = ruspini_subforest(forest)
+    assert fresh == sub and hash(fresh) == hash(sub) and repr(fresh) == repr(sub)
+    assert sub.__getstate__() == fresh.__getstate__() == (forest, forest.ruspini)
+    assert pickle.dumps(sub) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(sub)).leaves() == sub.leaves()
+    assert walked == [forest.ruspini] * 2  # the unpickled copy walks anew
 
 
 def test_implication_matches_formula_semantics():

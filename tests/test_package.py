@@ -86,19 +86,23 @@ def test_package_reads_the_patched_binding(monkeypatch):
 
 
 # The package's submodules a subcommand loads, and which of the standard
-# library's `dataclasses` and `inspect` (costly to import) it loads.
+# library's `dataclasses`, `inspect` (both costly to import) and `json` it
+# loads.  The script reads sys.modules before it imports json itself.
 FOOTPRINT = (
-    "import contextlib, io, json, sys\n"
+    "import contextlib, io, sys\n"
     "from godelforest.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
-    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('godelforest.')\n"
-    "                                or m in ('dataclasses', 'inspect'))]))\n"
+    "loaded = sorted(m for m in sys.modules if m.startswith('godelforest.')\n"
+    "                or m in ('dataclasses', 'inspect', 'json'))\n"
+    "import json\n"
+    "print(json.dumps([code, loaded]))\n"
 )
+DATA = pathlib.Path(SRC).parent / "data"
 
 
-def loaded_modules(*argv: str) -> set[str]:
-    code, modules = json.loads(run_python(FOOTPRINT, *argv))
+def loaded_modules(*argv: str, prelude: str = "") -> set[str]:
+    code, modules = json.loads(run_python(prelude + FOOTPRINT, *argv))
     assert code == 0
     return {m.removeprefix("godelforest.") for m in modules}
 
@@ -113,9 +117,7 @@ def test_count_loads_only_cli_and_counts():
     ["equiv", "--n", "2", "X1 & X2", "X2 & X1"],
 ])
 def test_decisions_load_no_partitions_axioms_or_exports(argv):
-    loaded = loaded_modules(*argv)
-    assert {"formulas", "semantics"} <= loaded
-    assert not loaded & {"partitions", "axioms", "exports"}
+    assert loaded_modules(*argv) == {"cli", "formulas", "semantics", "forest"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -124,14 +126,31 @@ def test_decisions_load_no_partitions_axioms_or_exports(argv):
     ["classify", "--values", "0,1/3,1"],
 ])
 def test_forest_and_classify_load_no_semantics_or_axioms(argv):
-    loaded = loaded_modules(*argv)
-    expected = {"cli", "exports", "forest"} | ({"partitions"} if argv[0] == "classify" else set())
-    assert loaded == expected
-    assert not loaded & {"formulas", "semantics", "axioms", "dataclasses", "inspect"}
+    # `exports` writes JSON with the encoder of `json`.
+    expected = {"cli", "exports", "forest", "json"}
+    assert loaded_modules(*argv) == expected | ({"partitions"} if argv[0] == "classify" else set())
 
 
-def test_analyze_loads_formulas_and_dataclasses():
-    # The footprint script sees both modules where they are loaded.
-    path = pathlib.Path(SRC).parent / "data" / "partitions"
-    loaded = loaded_modules("analyze", str(sorted(path.glob("*.json"))[0]))
-    assert {"formulas", "axioms", "dataclasses", "inspect"} <= loaded
+AXIOMS_AND_BELOW = {"cli", "axioms", "formulas", "forest", "partitions", "semantics"}
+
+
+@pytest.mark.parametrize("argv, more", [
+    (["axioms", "--kind", "tau", "--n", "4"], set()),
+    (["axiomatize", str(DATA / "partitions" / "triangular_triple.json")], {"json"}),
+    (["analyze", str(DATA / "partitions" / "triangular_triple.json")], {"exports", "json"}),
+    (["analyze", "--json", str(DATA / "partitions" / "step_pair.json")], {"exports", "json"}),
+    (["synthesize", str(DATA / "leaves" / "ruspini2_pair.json"), "--n", "2", "-o", "{out}"],
+     {"exports", "json"}),
+], ids=["axioms", "axiomatize", "analyze", "analyze-json", "synthesize"])
+def test_axiom_subcommands_load_exactly_their_modules(argv, more, tmp_path):
+    argv = [arg.format(out=tmp_path / "p.json") for arg in argv]
+    assert loaded_modules(*argv) == AXIOMS_AND_BELOW | more
+
+
+def test_footprint_sees_stdlib_modules_where_loaded():
+    # The script's own json import comes after its reading, and a module
+    # loaded before the subcommand runs is reported.
+    argv = ["taut", "--n", "1", "X1 | ~X1"]
+    assert "json" not in loaded_modules(*argv)
+    loaded = loaded_modules(*argv, prelude="import dataclasses, json\n")
+    assert {"dataclasses", "inspect", "json"} <= loaded

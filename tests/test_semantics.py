@@ -55,6 +55,20 @@ def test_logic_parsing():
     assert str(GINF) == "ginf" and str(Logic(5)) == "g5"
 
 
+@pytest.mark.parametrize("t", [3.0, 2.5, True])
+def test_logic_refuses_a_non_integer_t(t):
+    # Logic(3.0) was taken, and the decision below ended in a TypeError.
+    with pytest.raises(ValueError, match=r"^truth-value count .* is not an integer$"):
+        is_tautology(parse_formula("X1 | ~X1"), 1, Logic(t))
+
+
+@pytest.mark.parametrize("index", [2.5, 1.0, True])
+def test_var_refuses_a_non_integer_index(index):
+    # Var(2.5) was taken, and the decision below ended in a TypeError.
+    with pytest.raises(ValueError, match=r"^variable index .* is not an integer$"):
+        is_tautology(Or(Var(index), Not(Var(index))), 3)
+
+
 def test_formula_forest_constants():
     for n in (1, 2, 3):
         forest = enumerate_forest(n)
