@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 domain error (bad input data, guard violations),
 2 usage error.  All output is deterministic for a fixed invocation.
 
 Each subcommand imports what it runs, `json` included, when it runs, so
-a process loads nothing more: `count` loads only `counts`, and `forest`
-and `classify` do not load `formulas`.
+a process loads nothing more: `count` loads only `counts`, `forest` only
+`forest` and `exports`, and `taut` and `equiv` only `formulas`,
+`semantics` and `forest`.  None of these loads `json` or `fractions`.
 """
 
 from __future__ import annotations
@@ -79,9 +80,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from .forest import class_of_values
     from .partitions import as_fraction
 
-    raw = [piece.strip() for piece in args.values.split(",")]
-    values = [as_fraction(piece) for piece in raw if piece != ""]
-    c = class_of_values(values)
+    fields = args.values.split(",")
+    for k, piece in enumerate(fields, start=1):
+        if not piece.strip():  # dropping it would renumber the variables after it
+            raise ValueError(f"--values field {k} is empty")
+    c = class_of_values([as_fraction(piece) for piece in fields])
     print(c.chain_string())
     print(json.dumps(class_to_json(c)))
     return 0

@@ -6,8 +6,9 @@ tree so figures of individual trees can be rendered directly.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, TextIO
+from functools import cache
+from itertools import count
+from typing import TYPE_CHECKING, Callable, TextIO
 
 from .forest import AssignmentClass, Subforest
 
@@ -56,19 +57,20 @@ def _json_list(items: list[str], pad: str) -> str:
     return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[:-2] + "]"
 
 
-def _node_json(k: int, c: AssignmentClass, parent: int | None) -> str:
-    """Node k of `subforest_to_json` as `json.dump(..., indent=2)` writes it."""
-    mid = _json_list([_json_list(list(map(str, b)), " " * 10) for b in c.mid], " " * 8)
-    return (
-        "    {\n"
-        f'      "zero": {_json_list(list(map(str, c.zero)), " " * 8)},\n'
-        f'      "mid": {mid},\n'
-        f'      "one": {_json_list(list(map(str, c.one)), " " * 8)},\n'
-        f'      "id": {k},\n'
-        f'      "label": {encode_basestring_ascii(c.chain_string())},\n'
-        f'      "parent": {"null" if parent is None else parent}\n'
-        "    }"
-    )
+def _chain_labels(n: int) -> Callable[[tuple, tuple, tuple], str]:
+    """`label(zero, mid, one)`: the class's `chain_string()`, for the members
+    of one walk in its preorder.  A label is its parent's prefix, `<` and its
+    last mid block, then a tail that depends only on the variables at 1."""
+    prefixes, names = [""] * (n + 1), cache(lambda vs: "=".join([f"X{v}" for v in vs]))
+
+    def label(zero: tuple, mid: tuple, one: tuple) -> str:
+        if d := len(mid):
+            prefixes[d] = prefixes[d - 1] + "<" + names(mid[-1])
+        else:
+            prefixes[0] = "".join(["0", *[f"=X{v}" for v in zero]])
+        return prefixes[d] + "<" + names(one) + ("=1" if one else "1")
+
+    return label
 
 
 #: Nodes encoded per `write` call of `write_subforest_json`.
@@ -79,34 +81,59 @@ def write_subforest_json(sub: Subforest, out: TextIO) -> None:
     """Write `subforest_to_json(sub)` to out, byte for byte as
     `json.dump(..., out, indent=2)` would, one batch of nodes per write.
 
-    No node dicts are built, so the text held at once is one batch."""
-    members, parents = sub.forest.walk(sub.mask)
-    out.write(f'{{\n  "n": {sub.forest.n},\n  "count": {len(members)},\n  "nodes": ')
-    if not members:
+    Each node's text is made as the walk visits it, its `mid` list from its
+    parent's, so the text held at once is one batch."""
+    n = sub.forest.n
+    out.write(f'{{\n  "n": {n},\n  "count": {len(sub)},\n  "nodes": ')
+    if not sub.mask:
         out.write("[]\n}")
         return
-    lead = "[\n"
-    for start in range(0, len(members), _WRITE_BATCH):
-        stop = min(start + _WRITE_BATCH, len(members))
-        out.write(lead + ",\n".join(
-            _node_json(k, members[k], parents[k]) for k in range(start, stop)
-        ))
-        lead = ",\n"
+    label, mids, batch, lead = _chain_labels(n), [""] * (n + 1), [], "[\n"
+    lists = cache(lambda vs: _json_list(list(map(str, vs)), " " * 8))
+    blocks, close = cache(lambda vs: _json_list(list(map(str, vs)), " " * 10)), "\n      ]"
+
+    def build(k: int, up: int | None, zero: tuple, mid: tuple, one: tuple) -> None:
+        nonlocal lead
+        if d := len(mid):  # mids[d]: the text of mid's list but its closing bracket
+            mids[d] = (mids[d - 1] + "," if d > 1 else "[") + "\n        " + blocks(mid[-1])
+        batch.append(
+            "    {\n"
+            f'      "zero": {lists(zero)},\n'
+            f'      "mid": {mids[d] + close if d else "[]"},\n'
+            f'      "one": {lists(one)},\n'
+            f'      "id": {k},\n'
+            f'      "label": "{label(zero, mid, one)}",\n'
+            f'      "parent": {"null" if up is None else up}\n'
+            "    }"
+        )
+        if len(batch) == _WRITE_BATCH:
+            out.write(lead + ",\n".join(batch))
+            lead = ",\n"
+            batch.clear()
+
+    sub.forest.walk(sub.mask, build)
+    if batch:
+        out.write(lead + ",\n".join(batch))
     out.write("\n  ]\n}")
 
 
 def subforest_to_dot(sub: Subforest) -> str:
     """One digraph per tree; nodes are labeled with their chain strings."""
-    members, parents = sub.forest.walk(sub.mask)
-    # Each tree is a run of members that starts at its root.
-    starts = [k for k, parent in enumerate(parents) if parent is None] + [len(members)]
-    lines: list[str] = []
-    for t, (a, b) in enumerate(zip(starts, starts[1:])):
-        lines.append(f"digraph tree_{t} {{")
-        lines.append("  node [shape=box];")
-        lines.extend(f'  n{k} [label="{members[k].chain_string()}"];' for k in range(a, b))
-        lines.extend(f"  n{parents[k]} -> n{k};" for k in range(a + 1, b))
-        lines.append("}")
+    label, lines, edges, trees = _chain_labels(sub.forest.n), [], [], count()
+
+    def build(k: int, up: int | None, zero: tuple, mid: tuple, one: tuple) -> None:
+        if up is None:  # a root: the last tree's edges close it, and the next opens
+            if k:
+                lines.extend((*edges, "}"))
+                edges.clear()
+            lines.extend((f"digraph tree_{next(trees)} {{", "  node [shape=box];"))
+        else:
+            edges.append(f"  n{up} -> n{k};")
+        lines.append(f'  n{k} [label="{label(zero, mid, one)}"];')
+
+    sub.forest.walk(sub.mask, build)
+    if lines:
+        lines.extend((*edges, "}"))
     return "\n".join(lines) + "\n"
 
 

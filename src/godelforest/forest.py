@@ -17,10 +17,13 @@ classes themselves are built only when asked for.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, count
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Enumeration guard: forests grow super-exponentially with n.
 MAX_FOREST_VARIABLES = 8
@@ -125,6 +128,7 @@ class AssignmentClass(_Record):
     def representative(self) -> tuple[Fraction, ...]:
         """Canonical witness: 0 and 1 blocks as written, the i-th of k mid
         blocks at i/(k+1)."""
+        from fractions import Fraction  # loaded only where a Fraction is made
         values = [Fraction(0)] * self.n
         for v in self.one:
             values[v - 1] = Fraction(1)
@@ -136,15 +140,9 @@ class AssignmentClass(_Record):
 
     def chain_string(self) -> str:
         """Human-readable chain, e.g. "0=X1<X2<1" or "0<X1=X2<1"."""
-        parts = ["0"]
-        for pos, block in enumerate((self.zero, *self.mid, self.one)):
-            lead = "=" if pos == 0 else "<"  # only the zero block ties with 0
-            for j, v in enumerate(block):
-                parts.append(lead if j == 0 else "=")
-                parts.append(f"X{v}")
-        parts.append("=" if self.one else "<")
-        parts.append("1")
-        return "".join(parts)
+        zero = "".join([f"=X{v}" for v in self.zero])  # only the zero block ties with 0
+        blocks = ["=".join([f"X{v}" for v in b]) for b in (*self.mid, self.one)]
+        return f"0{zero}<" + "<".join(blocks) + ("=1" if self.one else "1")
 
     def __str__(self) -> str:
         return self.chain_string()
@@ -159,18 +157,15 @@ def class_of_values(values: Sequence[Fraction | int]) -> AssignmentClass:
     """Class realized by the given variable values (X1 gets values[0])."""
     if len(values) == 0:
         raise ValueError("at least one value is required")
-    vals = [Fraction(v) for v in values]
-    for i, v in enumerate(vals, start=1):
+    from fractions import Fraction
+    levels: dict[Fraction, list[int]] = {}  # the variables at each value
+    for i, v in enumerate([Fraction(v) for v in values], start=1):
         if not 0 <= v <= 1:
             raise ValueError(f"value for X{i} is outside [0, 1]: {v}")
-    zero = tuple(i for i, v in enumerate(vals, start=1) if v == 0)
-    one = tuple(i for i, v in enumerate(vals, start=1) if v == 1)
-    interior: dict[Fraction, list[int]] = {}
-    for i, v in enumerate(vals, start=1):
-        if 0 < v < 1:
-            interior.setdefault(v, []).append(i)
-    mid = tuple(tuple(interior[v]) for v in sorted(interior))
-    return AssignmentClass(len(vals), zero, mid, one)
+        levels.setdefault(v, []).append(i)
+    zero, one = tuple(levels.pop(0, ())), tuple(levels.pop(1, ()))
+    mid = tuple(tuple(levels[v]) for v in sorted(levels))
+    return AssignmentClass(len(values), zero, mid, one)
 
 
 def leq(a: AssignmentClass, b: AssignmentClass) -> bool:
@@ -264,27 +259,31 @@ class Forest:
             ids.append(i)
         return ids
 
-    def walk(self, mask: int) -> tuple[list[AssignmentClass], list[Optional[int]]]:
-        """Members of a downset mask in id order, and the position among
-        them of each one's parent (None for a root).
+    def walk(self, mask: int, build: Optional[Callable] = None) -> Optional[tuple]:
+        """Members of a downset mask in id order, and the position among them
+        of each one's parent (None for a root); or, given `build`, no class and
+        no result: the k-th member goes to `build(k, up, zero, mid, one)`, `up`
+        being its parent's position.  Only members and their children are
+        visited: a child outside the mask is passed over, with its subtree."""
+        if collect := build is None:
+            n, classes, parents = self.n, [], []
 
-        Only members and their children are visited: a child outside the
-        mask is passed over, and with it its whole subtree."""
-        n, classes, parents = self.n, [], []
-        bits = format(mask, f"0{len(self)}b")  # bits[~i] is bit i
+            def build(k: int, up: Optional[int], zero: tuple, mid: tuple, one: tuple) -> None:
+                classes.append(_class(n, zero, mid, one))
+                parents.append(up)
+
+        bits, ks = mask.to_bytes(len(self) + 7 >> 3, "little"), count()  # bit i: bits[i >> 3]
 
         def visit(zero: tuple, mid: tuple, one: tuple, i: int, up: Optional[int]) -> None:
-            k = len(classes)
-            classes.append(_class(n, zero, mid, one))
-            parents.append(up)
+            build(k := next(ks), up, zero, mid, one)
             for block, (step, rest) in _children(one)[0].items():
-                if bits[~(i + step)] == "1":
-                    visit(zero, mid + (block,), rest, i + step, k)
+                if bits[(j := i + step) >> 3] >> (j & 7) & 1:
+                    visit(zero, mid + (block,), rest, j, k)
 
         for zero, (i, one) in self._roots.items():
-            if bits[~i] == "1":
+            if bits[i >> 3] >> (i & 7) & 1:
                 visit(zero, (), one, i, None)
-        return classes, parents
+        return (classes, parents) if collect else None
 
     def upset(self, mask: int) -> int:
         """Nodes lying in the subtree of some node of mask.
@@ -338,22 +337,12 @@ def _class(n: int, zero: tuple, mid: tuple, one: tuple) -> AssignmentClass:
     return c
 
 
-def _lex_subsets(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Nonempty subsets of a sorted tuple, as sorted tuples in lexicographic
-    order."""
-    for k, x in enumerate(items):
-        yield (x,)
-        for tail in _lex_subsets(items[k + 1 :]):
-            yield (x,) + tail
-
-
 @lru_cache(maxsize=None)
 def _splits(items: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Each nonempty subset of a sorted tuple, in lexicographic order, with
     the items outside it."""
-    return tuple(
-        (block, tuple(x for x in items if x not in block)) for block in _lex_subsets(items)
-    )
+    blocks = sorted(c for k in range(1, len(items) + 1) for c in combinations(items, k))
+    return tuple((block, tuple(x for x in items if x not in block)) for block in blocks)
 
 
 _Children = dict[tuple[int, ...], tuple[int, tuple[int, ...]]]

@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .forest import _Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Formula(_Record):
@@ -188,24 +190,6 @@ def run(steps, variables: Sequence, bot, top, ops: dict):
     return values[-1]
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _residuum(a: Fraction, b: Fraction) -> Fraction:
-    return _ONE if a <= b else b
-
-
-_FRACTION_OPS = {
-    Not: lambda a: _residuum(a, _ZERO),
-    And: min,
-    Or: max,
-    Implies: _residuum,
-    Iff: lambda a, b: min(_residuum(a, b), _residuum(b, a)),
-    Lhd: lambda a, b: _residuum(_residuum(b, a), b),
-}
-
-
 def eval_formula(f: Formula, values: Sequence[Fraction]) -> Fraction:
     """Value of f when Xi takes values[i-1], under Goedel semantics.
 
@@ -213,7 +197,22 @@ def eval_formula(f: Formula, values: Sequence[Fraction]) -> Fraction:
     right value), ~a is a -> 0.  The derived connectives evaluate through
     their expansions.  Runs program(f), so any depth is fine.
     """
-    return run(program(f), values, _ZERO, _ONE, _FRACTION_OPS)
+    from fractions import Fraction  # loaded only where a Fraction is made
+
+    zero, one = Fraction(0), Fraction(1)
+
+    def residuum(a: Fraction, b: Fraction) -> Fraction:
+        return one if a <= b else b
+
+    ops = {
+        Not: lambda a: residuum(a, zero),
+        And: min,
+        Or: max,
+        Implies: residuum,
+        Iff: lambda a, b: min(residuum(a, b), residuum(b, a)),
+        Lhd: lambda a, b: residuum(residuum(b, a), b),
+    }
+    return run(program(f), values, zero, one, ops)
 
 
 class ParseError(ValueError):

@@ -371,6 +371,22 @@ def reference_is_ruspini_subforest(sub: Subforest) -> bool:
     return all(is_ruspini_leaf(c) for c in sub.leaves())
 
 
+def reference_subforest_to_dot(sub: Subforest) -> str:
+    """The DOT export as it was, from the walk's classes and each one's own
+    `chain_string()`."""
+    members, parents = sub.forest.walk(sub.mask)
+    # Each tree is a run of members that starts at its root.
+    starts = [k for k, parent in enumerate(parents) if parent is None] + [len(members)]
+    lines: list[str] = []
+    for t, (a, b) in enumerate(zip(starts, starts[1:])):
+        lines.append(f"digraph tree_{t} {{")
+        lines.append("  node [shape=box];")
+        lines.extend(f'  n{k} [label="{members[k].chain_string()}"];' for k in range(a, b))
+        lines.extend(f"  n{parents[k]} -> n{k};" for k in range(a + 1, b))
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def reference_grid_oracle(f: Formula, n: int, t: int) -> bool:
     """Tautology over the t-valued grid by evaluating f at each of the t**n
     assignments in turn, with exact rationals."""

@@ -405,6 +405,17 @@ def test_classify_zero_denominator_is_a_clean_error(capsys):
     assert err == "error: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("values, field", [
+    ("1,,1/2", 2), (" , 1/2", 1), ("0,1/3,1,", 4), ("", 1), ("1/2, \t,1", 2),
+], ids=["middle", "leading", "trailing", "only", "blank"])
+def test_classify_refuses_an_empty_field(capsys, values, field):
+    # Dropping the field renumbered the variables after it: "1,,1/2" was
+    # read as two values and printed 0<X2<X1=1.
+    code, out, err = run(capsys, "classify", "--values", values)
+    assert (code, out) == (1, "")
+    assert err == f"error: --values field {field} is empty\n"
+
+
 def test_classify_refuses_an_exponent_at_once(capsys):
     # Fraction would expand 10**100000000 before answering.
     started = time.perf_counter()

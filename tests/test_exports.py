@@ -1,8 +1,11 @@
-"""The streaming JSON forest writer against the dict export it replaces."""
+"""The streaming JSON and DOT forest writers against the class-built exports
+they replace."""
 
 import io
 import json
+import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +18,8 @@ from godelforest import (
     truncated_subforest,
     two_overlap_subforest,
 )
-from godelforest.exports import write_subforest_json
+from godelforest.exports import subforest_to_dot, write_subforest_json
+from helpers import random_subforest, reference_subforest_to_dot
 
 
 def subforests(n):
@@ -34,6 +38,21 @@ def test_writer_matches_json_dump_of_the_dict(n):
         out = io.StringIO()
         write_subforest_json(sub, out)
         assert out.getvalue() == json.dumps(subforest_to_json(sub), indent=2), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exports_match_the_class_built_references_on_random_downsets(n):
+    # Every kind and truncation, then 20 seeded downsets: labels and mid
+    # lists are built from the parent's, so any tree shape must come out
+    # as each class's own chain string and blocks would print it.
+    rng = random.Random(f"exports:{n}")
+    forest = enumerate_forest(n)
+    named = [sub for _, sub in subforests(n)]
+    for sub in named + [random_subforest(rng, forest) for _ in range(20)]:
+        assert subforest_to_dot(sub) == reference_subforest_to_dot(sub)
+        out = io.StringIO()
+        write_subforest_json(sub, out)
+        assert out.getvalue() == json.dumps(subforest_to_json(sub), indent=2)
 
 
 class CountingSink:
@@ -59,7 +78,7 @@ def peak_bytes(action) -> int:
 
 def test_writer_streams_r6_in_batches_with_less_than_half_the_peak():
     sub = ruspini_subforest(enumerate_forest(6))
-    reference = json.dumps(subforest_to_json(sub), indent=2)  # also caches the labels
+    reference = json.dumps(subforest_to_json(sub), indent=2)
     sink = CountingSink()
     writer_peak = peak_bytes(lambda: write_subforest_json(sub, sink))
     dict_peak = peak_bytes(lambda: subforest_to_json(sub))
@@ -67,3 +86,11 @@ def test_writer_streams_r6_in_batches_with_less_than_half_the_peak():
     # A header, then one write per batch of 1,000 nodes, then the closing lines.
     assert sink.writes == 2 + -(-len(sub) // 1000)
     assert writer_peak < dict_peak / 2
+
+
+def test_writer_writes_1000_nodes_per_batch():
+    # The F_5 export has 2,163 nodes: a header, two full batches, the rest,
+    # then the closing lines.
+    writes = []
+    write_subforest_json(full_subforest(enumerate_forest(5)), SimpleNamespace(write=writes.append))
+    assert [text.count('"id": ') for text in writes] == [0, 1000, 1000, 163, 0]

@@ -199,6 +199,36 @@ def test_downset_at_n8_builds_only_the_classes_it_touches():
     assert all(c in sub for c in members)
 
 
+def test_walking_a_one_member_downset_at_n8_formats_no_mask_string():
+    # The root with X8 at 0 and the rest at 1 has the highest root id,
+    # 2,088,753.  Its mask as a string of digits is 2 MB; the walk reads the
+    # 2,183,339-node forest's masks as 273 KB of bytes.
+    forest = enumerate_forest(8)
+    root = cls(8, zero=[8], one=range(1, 8))
+    mask = 1 << forest.path(root)[-1]
+    assert mask.bit_length() == 2_088_754
+    tracemalloc.start()
+    try:
+        walked = forest.walk(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked == ([root], [None])
+    assert peak < 2**20, peak
+
+
+def test_walk_hands_a_builder_each_members_position_parent_and_blocks():
+    rng = random.Random(4242)
+    for n in range(1, 6):
+        forest = enumerate_forest(n)
+        for sub in [full_subforest(forest)] + [random_subforest(rng, forest) for _ in range(10)]:
+            visits = []
+            assert forest.walk(sub.mask, lambda *visit: visits.append(visit)) is None
+            classes, parents = forest.walk(sub.mask)
+            assert visits == [(k, up, c.zero, c.mid, c.one)
+                              for k, (c, up) in enumerate(zip(classes, parents))]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_walk_and_path_equal_the_reference(n):
     forest, ref = enumerate_forest(n), reference_forest(n)

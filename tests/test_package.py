@@ -86,15 +86,16 @@ def test_package_reads_the_patched_binding(monkeypatch):
 
 
 # The package's submodules a subcommand loads, and which of the standard
-# library's `dataclasses`, `inspect` (both costly to import) and `json` it
-# loads.  The script reads sys.modules before it imports json itself.
+# library's `dataclasses`, `inspect`, `json` and `fractions` (which imports
+# `decimal` and `numbers`) it loads.  The script reads sys.modules before it
+# imports json itself.
 FOOTPRINT = (
     "import contextlib, io, sys\n"
     "from godelforest.cli import main\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
     "loaded = sorted(m for m in sys.modules if m.startswith('godelforest.')\n"
-    "                or m in ('dataclasses', 'inspect', 'json'))\n"
+    "                or m in ('dataclasses', 'inspect', 'json', 'fractions'))\n"
     "import json\n"
     "print(json.dumps([code, loaded]))\n"
 )
@@ -117,6 +118,7 @@ def test_count_loads_only_cli_and_counts():
     ["equiv", "--n", "2", "X1 & X2", "X2 & X1"],
 ])
 def test_decisions_load_no_partitions_axioms_or_exports(argv):
+    # Nor `json` or `fractions`: the formula evaluator imports it when called.
     assert loaded_modules(*argv) == {"cli", "formulas", "semantics", "forest"}
 
 
@@ -126,12 +128,14 @@ def test_decisions_load_no_partitions_axioms_or_exports(argv):
     ["classify", "--values", "0,1/3,1"],
 ])
 def test_forest_and_classify_load_no_semantics_or_axioms(argv):
-    # `exports` writes JSON with the encoder of `json`.
-    expected = {"cli", "exports", "forest", "json"}
-    assert loaded_modules(*argv) == expected | ({"partitions"} if argv[0] == "classify" else set())
+    # `forest` writes its JSON itself and makes no Fraction; `classify`
+    # reads rationals and prints the class with `json`.
+    more = {"partitions", "json", "fractions"} if argv[0] == "classify" else set()
+    assert loaded_modules(*argv) == {"cli", "exports", "forest"} | more
 
 
-AXIOMS_AND_BELOW = {"cli", "axioms", "formulas", "forest", "partitions", "semantics"}
+# `partitions` and `axioms` import `fractions` as they load.
+AXIOMS_AND_BELOW = {"cli", "axioms", "formulas", "forest", "partitions", "semantics", "fractions"}
 
 
 @pytest.mark.parametrize("argv, more", [
@@ -152,5 +156,5 @@ def test_footprint_sees_stdlib_modules_where_loaded():
     # loaded before the subcommand runs is reported.
     argv = ["taut", "--n", "1", "X1 | ~X1"]
     assert "json" not in loaded_modules(*argv)
-    loaded = loaded_modules(*argv, prelude="import dataclasses, json\n")
-    assert {"dataclasses", "inspect", "json"} <= loaded
+    loaded = loaded_modules(*argv, prelude="import dataclasses, fractions, json\n")
+    assert {"dataclasses", "inspect", "json", "fractions"} <= loaded
