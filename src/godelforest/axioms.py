@@ -14,32 +14,17 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .formulas import And, Bot, Formula, Iff, Lhd, Not, Or, Top, Var
-from .forest import (
-    AssignmentClass,
-    Subforest,
-    _Record,
-    downset,
-    enumerate_forest,
-    full_subforest,
-    is_ruspini_leaf,
-    is_ruspini_subforest,
-    leq,
-    truncated_subforest,
-    two_overlap_subforest,
-)
-from .partitions import (
-    Partition,
-    PiecewiseLinearFuzzySet,
-    check_2_overlapping,
-    check_ruspini_exact,
-    partition_forest,
-    realized_classes,
-)
-from .semantics import formula_forest
+from .records import _Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from .forest import AssignmentClass, Subforest
+    from .partitions import Partition
+
+# `forest`, `partitions`, `semantics` and `fractions` load inside the functions using them.
 
 
 def conjunction(terms: Sequence[Formula]) -> Formula:
@@ -59,9 +44,9 @@ def chain_normal_form(c: AssignmentClass) -> Formula:
     <-> for ties; its value-1 set is the downset of c."""
     values = c.representative()
     order = sorted(range(1, c.n + 1), key=lambda i: (values[i - 1], i))
-    anchored: list[tuple[Formula, Fraction]] = [(Bot(), Fraction(0))]
+    anchored: list[tuple[Formula, Fraction | int]] = [(Bot(), 0)]
     anchored.extend((Var(i), values[i - 1]) for i in order)
-    anchored.append((Top(), Fraction(1)))
+    anchored.append((Top(), 1))
     terms = [
         Iff(fa, fb) if va == vb else Lhd(fa, fb)
         for (fa, va), (fb, vb) in itertools.pairwise(anchored)
@@ -92,6 +77,8 @@ def axiomatize_partition(p: Partition) -> Formula:
     Unique up to provable equivalence among formulas with the same value-1
     set.
     """
+    from .partitions import partition_forest
+
     return axiomatize_subforest(partition_forest(p))
 
 
@@ -145,6 +132,8 @@ def _leaf_column(leaf: AssignmentClass) -> tuple[Fraction, ...]:
     blocks of sizes w1..wk get value i / sum(j * wj) on block i, which is
     strictly increasing, stays below 1, and makes the total exactly 1.
     """
+    from fractions import Fraction
+
     values = [Fraction(0)] * leaf.n
     if leaf.one:
         if len(leaf.one) != 1 or leaf.mid:
@@ -166,6 +155,11 @@ def synthesize_partition(sub: Subforest, n: int) -> Partition:
     leaf's column.  The result sums to 1 everywhere, realizes the subforest,
     and each set has at most m - 1 jumps.
     """
+    from fractions import Fraction
+
+    from .forest import is_ruspini_subforest
+    from .partitions import Partition, PiecewiseLinearFuzzySet
+
     if sub.forest.n != n:
         raise ValueError(
             f"subforest lives over {sub.forest.n} variables, expected {n}"
@@ -232,6 +226,11 @@ def analyze(p: Partition) -> AnalysisReport:
     4-valued logic proves axiom -> overlap axiom.  Combined: both at once,
     with the proof check run entirely inside the 4-valued logic.
     """
+    from .forest import (downset, enumerate_forest, full_subforest, is_ruspini_leaf,
+                         is_ruspini_subforest, leq, truncated_subforest, two_overlap_subforest)
+    from .partitions import check_2_overlapping, check_ruspini_exact, realized_classes
+    from .semantics import formula_forest
+
     forest = enumerate_forest(p.n)
     realized = realized_classes(p)
     fp = downset(forest, realized)

@@ -3,16 +3,19 @@
 Exit codes: 0 success, 1 domain error (bad input data, guard violations),
 2 usage error.  All output is deterministic for a fixed invocation.
 
-Each subcommand imports what it runs, `json` included, when it runs, so
-a process loads nothing more: `count` loads only `counts`, `forest` only
-`forest` and `exports`, and `taut` and `equiv` only `formulas`,
-`semantics` and `forest`.  None of these loads `json` or `fractions`.
+The grammar is one table, `_COMMANDS`.  Well-formed argv is read from it
+without `argparse`; help, usage errors and all else go to the parser that
+`build_parser` makes from it.  Each subcommand imports what it runs when it
+runs: `count` loads only `counts`, `forest` only `forest`, `records` and
+`exports`, `taut` and `equiv` only `formulas`, `records`, `semantics` and
+`forest`, and `axioms` only `records`, `formulas` and `axioms`.  None of
+these loads `json` or `fractions`.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 #: Largest n whose forest `forest` exports: the n = 8 export needs gigabytes
 #: of memory (a 2.9 GB peak as JSON).  The other subcommands run at n = 8 on
@@ -37,8 +40,8 @@ def _load_partition(path: str):
     return partition_from_json(_load_json(path))
 
 
-def _cmd_forest(args: argparse.Namespace) -> int:
-    from .exports import subforest_to_dot, write_subforest_json
+def _cmd_forest(args) -> int:
+    from .exports import write_subforest_dot, write_subforest_json
     from .forest import (
         MAX_FOREST_VARIABLES,
         enumerate_forest,
@@ -66,14 +69,14 @@ def _cmd_forest(args: argparse.Namespace) -> int:
             return 2
         sub = truncated_subforest(forest, args.t)
     if args.format == "dot":
-        sys.stdout.write(subforest_to_dot(sub))
+        write_subforest_dot(sub, sys.stdout)
     else:
         write_subforest_json(sub, sys.stdout)
         sys.stdout.write("\n")
     return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args) -> int:
     import json
 
     from .exports import class_to_json
@@ -90,7 +93,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args) -> int:
     import json
 
     from .axioms import analyze
@@ -105,7 +108,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_axiomatize(args: argparse.Namespace) -> int:
+def _cmd_axiomatize(args) -> int:
     from .axioms import axiomatize_partition
     from .formulas import format_formula
 
@@ -113,7 +116,7 @@ def _cmd_axiomatize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_axioms(args: argparse.Namespace) -> int:
+def _cmd_axioms(args) -> int:
     from .axioms import overlap_axiom, ruspini_axiom
     from .formulas import format_formula
 
@@ -128,7 +131,7 @@ def _check_n(n: int) -> None:
         raise ValueError(f"--n must be >= 0, got {n}")
 
 
-def _cmd_taut(args: argparse.Namespace) -> int:
+def _cmd_taut(args) -> int:
     from .formulas import arity, parse_formula
     from .semantics import grid_tautology_oracle, is_tautology, parse_logic
 
@@ -149,7 +152,7 @@ def _cmd_taut(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_equiv(args: argparse.Namespace) -> int:
+def _cmd_equiv(args) -> int:
     from .formulas import arity, parse_formula
     from .semantics import parse_logic, proves_equiv
 
@@ -164,7 +167,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_synthesize(args: argparse.Namespace) -> int:
+def _cmd_synthesize(args) -> int:
     import json
 
     from .axioms import synthesize_partition
@@ -191,7 +194,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args) -> int:
     from .counts import count_2overlap_weak_ruspini, count_leaves, count_weak_ruspini
 
     count = {"leaves": count_leaves, "weak-ruspini": count_weak_ruspini,
@@ -212,84 +215,120 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="godelforest",
-        description=(
-            "Analyze finite fuzzy partitions in Goedel logic: realized class "
-            "forests, axiomatization, weak-Ruspini and 2-overlap decisions, "
-            "partition synthesis, and tautology checking."
-        ),
-    )
+#: The CLI grammar, the one source for `build_parser` and `_read_plain`:
+#: subcommand -> (help, handler, [(flags, `add_argument` keywords), ...]).
+_COMMANDS = {
+    "forest": ("export an assignment-class forest", _cmd_forest, [
+        (("--n",), {"type": int, "required": True, "help": "number of variables"}),
+        (("--kind",), {"choices": ["fn", "rn", "tn", "fnt"], "default": "fn",
+                       "help": "full, Ruspini, two-overlap, or height-truncated forest"}),
+        (("--t",), {"type": int, "default": None, "help": "truth-value count for --kind fnt"}),
+        (("--format",), {"choices": ["dot", "json"], "default": "dot"}),
+    ]),
+    "classify": ("class of a comma-separated value list", _cmd_classify,
+                 [(("--values",), {"required": True, "help": "e.g. 0,1/3,1"})]),
+    "analyze": ("full report for a partition file", _cmd_analyze, [
+        (("file",), {"help": "partition JSON file"}),
+        (("--json",), {"action": "store_true", "help": "emit the report as JSON"}),
+    ]),
+    "axiomatize": ("print the axiom of a partition file", _cmd_axiomatize,
+                   [(("file",), {"help": "partition JSON file"})]),
+    "axioms": ("print a stock axiom", _cmd_axioms, [
+        (("--kind",), {"choices": ["rho", "tau"], "required": True}),
+        (("--n",), {"type": int, "required": True}),
+    ]),
+    "taut": ("decide tautology at a variable bound", _cmd_taut, [
+        (("--n",), {"type": int, "required": True}),
+        (("--logic",), {"default": "ginf", "help": "'ginf' or 'g<t>' such as 'g4'"}),
+        (("--oracle",), {"action": "store_true",
+                         "help": "use the brute-force grid evaluation (finite logics)"}),
+        (("formula",), {}),
+    ]),
+    "equiv": ("decide provable equivalence of two formulas", _cmd_equiv, [
+        (("--n",), {"type": int, "required": True}),
+        (("--logic",), {"default": "ginf"}),
+        (("first",), {}), (("second",), {}),
+    ]),
+    "synthesize": ("build a step-function partition from a leaves file", _cmd_synthesize, [
+        (("leaves",), {"help": "JSON list of classes (zero/mid/one blocks)"}),
+        (("--n",), {"type": int, "required": True}),
+        (("-o", "--output"), {"required": True, "help": "partition JSON to write"}),
+    ]),
+    "count": ("evaluate the exact counting formulas", _cmd_count, [
+        (("--n",), {"type": int, "required": True}),
+        (("--kind",), {"choices": ["leaves", "weak-ruspini", "overlap2"], "required": True}),
+    ]),
+}
+
+
+def build_parser():
+    """The `argparse.ArgumentParser` of `_COMMANDS`: the CLI's help and usage errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="godelforest", description=(
+        "Analyze finite fuzzy partitions in Goedel logic: realized class forests, axiomatization, "
+        "weak-Ruspini and 2-overlap decisions, partition synthesis, and tautology checking."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("forest", help="export an assignment-class forest")
-    p.add_argument("--n", type=int, required=True, help="number of variables")
-    p.add_argument(
-        "--kind",
-        choices=["fn", "rn", "tn", "fnt"],
-        default="fn",
-        help="full, Ruspini, two-overlap, or height-truncated forest",
-    )
-    p.add_argument("--t", type=int, default=None, help="truth-value count for --kind fnt")
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.set_defaults(func=_cmd_forest)
-
-    p = sub.add_parser("classify", help="class of a comma-separated value list")
-    p.add_argument("--values", required=True, help="e.g. 0,1/3,1")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("analyze", help="full report for a partition file")
-    p.add_argument("file", help="partition JSON file")
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("axiomatize", help="print the axiom of a partition file")
-    p.add_argument("file", help="partition JSON file")
-    p.set_defaults(func=_cmd_axiomatize)
-
-    p = sub.add_parser("axioms", help="print a stock axiom")
-    p.add_argument("--kind", choices=["rho", "tau"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_axioms)
-
-    p = sub.add_parser("taut", help="decide tautology at a variable bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--logic", default="ginf", help="'ginf' or 'g<t>' such as 'g4'")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the brute-force grid evaluation (finite logics)")
-    p.add_argument("formula")
-    p.set_defaults(func=_cmd_taut)
-
-    p = sub.add_parser("equiv", help="decide provable equivalence of two formulas")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--logic", default="ginf")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser(
-        "synthesize", help="build a step-function partition from a leaves file"
-    )
-    p.add_argument("leaves", help="JSON list of classes (zero/mid/one blocks)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("-o", "--output", required=True, help="partition JSON to write")
-    p.set_defaults(func=_cmd_synthesize)
-
-    p = sub.add_parser("count", help="evaluate the exact counting formulas")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=["leaves", "weak-ruspini", "overlap2"], required=True)
-    p.set_defaults(func=_cmd_count)
-
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """`build_parser().parse_args(argv)`'s namespace where a plain reading is sure
+    of it, else None: a subcommand, its positionals and its exact flags, each
+    once with its value; no value starts with `-`, each is of its type and among
+    its choices, and every required flag is given.  argparse reads the rest."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    values, flags, positionals = {"command": argv[0], "func": func}, {}, []
+    for names, keywords in arguments:
+        dest = names[-1].lstrip("-")
+        if names[0].startswith("-"):
+            flags.update(dict.fromkeys(names, (dest, keywords)))
+            values[dest] = keywords.get("default", False if "action" in keywords else None)
+        else:
+            positionals.append((dest, keywords))
+    tokens, given, free, read = iter(argv[1:]), set(), [], []
+    for token in tokens:
+        if not token.startswith("-"):
+            free.append(token)
+            continue
+        dest, keywords = flags.get(token, (None, None))
+        if dest is None or dest in given:
+            return None
+        given.add(dest)
+        if "action" in keywords:  # store_true
+            values[dest] = True
+        else:  # a missing value reads as "-", which is refused below
+            read.append((dest, keywords, next(tokens, "-")))
+    if len(free) != len(positionals) or any(
+            keywords.get("required") and dest not in given for dest, keywords in flags.values()):
+        return None
+    read += [(dest, keywords, token) for (dest, keywords), token in zip(positionals, free)]
+    for dest, keywords, token in read:
+        try:
+            value = keywords.get("type", str)(token)
+        except ValueError:
+            return None
+        if token.startswith("-") or value not in keywords.get("choices", [value]):
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ParseError is a ValueError

@@ -7,6 +7,7 @@ tree so figures of individual trees can be rendered directly.
 from __future__ import annotations
 
 from functools import cache
+from io import StringIO
 from itertools import count
 from typing import TYPE_CHECKING, Callable, TextIO
 
@@ -73,7 +74,7 @@ def _chain_labels(n: int) -> Callable[[tuple, tuple, tuple], str]:
     return label
 
 
-#: Nodes encoded per `write` call of `write_subforest_json`.
+#: Nodes encoded per `write` call of `write_subforest_json` and `write_subforest_dot`.
 _WRITE_BATCH = 1000
 
 
@@ -117,24 +118,33 @@ def write_subforest_json(sub: Subforest, out: TextIO) -> None:
     out.write("\n  ]\n}")
 
 
-def subforest_to_dot(sub: Subforest) -> str:
-    """One digraph per tree; nodes are labeled with their chain strings."""
+def write_subforest_dot(sub: Subforest, out: TextIO) -> None:
+    """Write one digraph per tree, nodes labeled with their chain strings: its
+    node lines, a batch per write, then its edges, written when it closes."""
     label, lines, edges, trees = _chain_labels(sub.forest.n), [], [], count()
 
     def build(k: int, up: int | None, zero: tuple, mid: tuple, one: tuple) -> None:
-        if up is None:  # a root: the last tree's edges close it, and the next opens
+        if up is None:  # a root: the last tree closes, and the next opens
             if k:
-                lines.extend((*edges, "}"))
-                edges.clear()
-            lines.extend((f"digraph tree_{next(trees)} {{", "  node [shape=box];"))
+                out.write("".join([*lines, *edges, "}\n"]))
+                del lines[:], edges[:]
+            lines.append(f"digraph tree_{next(trees)} {{\n  node [shape=box];\n")
         else:
-            edges.append(f"  n{up} -> n{k};")
-        lines.append(f'  n{k} [label="{label(zero, mid, one)}"];')
+            edges.append(f"  n{up} -> n{k};\n")
+        lines.append(f'  n{k} [label="{label(zero, mid, one)}"];\n')
+        if len(lines) >= _WRITE_BATCH:
+            out.write("".join(lines))
+            lines.clear()
 
     sub.forest.walk(sub.mask, build)
-    if lines:
-        lines.extend((*edges, "}"))
-    return "\n".join(lines) + "\n"
+    out.write("".join([*lines, *edges, "}\n"]) if sub.mask else "\n")
+
+
+def subforest_to_dot(sub: Subforest) -> str:
+    """`write_subforest_dot`'s output as one string."""
+    out = StringIO()
+    write_subforest_dot(sub, out)
+    return out.getvalue()
 
 
 def report_to_json(report: AnalysisReport) -> dict:

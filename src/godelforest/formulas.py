@@ -20,7 +20,7 @@ import itertools
 import re
 from typing import TYPE_CHECKING, Sequence
 
-from .forest import _Record
+from .records import _Record
 
 if TYPE_CHECKING:
     from fractions import Fraction

@@ -18,12 +18,12 @@ from typing import Union
 from .forest import (
     AssignmentClass,
     Subforest,
-    _Record,
     class_of_values,
     downset,
     enumerate_forest,
     is_ruspini_subforest,
 )
+from .records import _Record
 
 RationalLike = Union[Fraction, int, str]
 

@@ -1,0 +1,44 @@
+"""The frozen record base of every value type; it imports nothing of the package."""
+
+from operator import attrgetter
+from typing import Iterable
+
+
+class _Record:
+    """Frozen record: the fields are the slots named in `__match_args__`.
+    Every value type of the package is one; they compare, hash, print,
+    match, copy and pickle as frozen slotted dataclass instances do."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__match_args__  # attrgetter of one name gives the value, of none fails
+        get = attrgetter(*names) if names else lambda s: ()
+        cls._values = property(get if len(names) != 1 else lambda s: (get(s),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        # Not a join over a generator: reprs nested in C calls print a quarter less deep.
+        fields = [f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values)]
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return self._values
+
+    def __setstate__(self, state: Iterable) -> None:
+        """Set the fields in order: for copy, pickle and some `__init__`s."""
+        for name, value in zip(self.__match_args__, state):
+            object.__setattr__(self, name, value)

@@ -15,7 +15,8 @@ import itertools
 from typing import Optional
 
 from .formulas import And, Formula, Iff, Implies, Lhd, Not, Or, eval_formula, program, run
-from .forest import Forest, Subforest, _Record, enumerate_forest
+from .forest import Forest, Subforest, enumerate_forest
+from .records import _Record
 
 #: Assignments the grid oracle is willing to enumerate.
 GRID_ORACLE_BUDGET = 10**6
@@ -86,6 +87,8 @@ def is_tautology(f: Formula, n: int, logic: Logic = GINF) -> bool:
     Infinite-valued: f must take value 1 on every class.  t-valued: f must
     take value 1 on every class of the height-(t-1) truncation.
     """
+    if n == 0:  # a variable-free formula takes 0 or 1, in every logic
+        return eval_formula(f, ()) == 1
     forest = enumerate_forest(n)
     region = _region(forest, logic)
     return formula_forest(f, forest).mask & region == region
@@ -227,6 +230,8 @@ def _staircase(count: int, run: int, wb: int) -> int:
 def proves_equiv(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:
     """Provable equivalence: the two value-1 subforests coincide on the
     forest relevant to the logic."""
+    if n == 0:
+        return is_tautology(Iff(a, b), 0)
     forest = enumerate_forest(n)
     fa, fb = formula_forest(a, forest), formula_forest(b, forest)
     return not (fa.mask ^ fb.mask) & _region(forest, logic)
@@ -235,6 +240,8 @@ def proves_equiv(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:
 def proves_implies(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:
     """Provable implication: value-1 subforest inclusion on the relevant
     forest."""
+    if n == 0:
+        return is_tautology(Implies(a, b), 0)
     forest = enumerate_forest(n)
     fa, fb = formula_forest(a, forest), formula_forest(b, forest)
     return not fa.mask & ~fb.mask & _region(forest, logic)

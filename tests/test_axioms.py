@@ -457,7 +457,6 @@ def test_analyze_proof_entries_equal_the_decision_procedures():
 
 
 def test_analyze_evaluates_each_formula_once(monkeypatch):
-    import godelforest.axioms
     import godelforest.semantics
 
     evaluated = []
@@ -467,8 +466,8 @@ def test_analyze_evaluates_each_formula_once(monkeypatch):
         evaluated.append(f)
         return original(f, forest)
 
+    # `analyze` reads semantics.formula_forest when it is called.
     monkeypatch.setattr(godelforest.semantics, "formula_forest", counting)
-    monkeypatch.setattr(godelforest.axioms, "formula_forest", counting)
     p = synthesize_partition(ruspini_subforest(enumerate_forest(3)), 3)
     report = analyze(p)
     # alpha, the right-hand side of the equivalence, and tau; once each.

@@ -92,6 +92,24 @@ def test_taut_at_n0_still_answers(capsys):
         0, "tautology\n", "")
 
 
+@pytest.mark.parametrize("logic", ["ginf", "g2", "g3", "g4", "g5"])
+def test_decisions_at_n0_answer_variable_free_formulas_in_every_logic(capsys, logic):
+    for text, verdict in [("1", "tautology"), ("0", "not a tautology"),
+                          ("0 -> 0", "tautology"), ("~1 | 0", "not a tautology")]:
+        assert run(capsys, "taut", "--n", "0", "--logic", logic, text) == (0, verdict + "\n", "")
+        if logic != "ginf":
+            assert run(capsys, "taut", "--n", "0", "--logic", logic, "--oracle", text) == (
+                0, verdict + "\n", "")
+    assert run(capsys, "equiv", "--n", "0", "--logic", logic, "1", "0 -> 0") == (
+        0, "equivalent\n", "")
+    assert run(capsys, "equiv", "--n", "0", "--logic", logic, "1", "0") == (
+        0, "not equivalent\n", "")
+    assert run(capsys, "taut", "--n", "0", "--logic", logic, "X1") == (
+        1, "", "error: formula uses X1 but --n is 0\n")
+    assert run(capsys, "equiv", "--n", "0", "--logic", logic, "0", "X1") == (
+        1, "", "error: formulas use X1 but --n is 0\n")
+
+
 def test_taut_parse_error(capsys):
     code, _, err = run(capsys, "taut", "--n", "2", "--logic", "ginf", "X1 &")
     assert code == 1
@@ -544,3 +562,127 @@ def test_readme_commands_all_run(capsys, tmp_path, monkeypatch):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 0, (command, captured.err)
+
+
+# Argument shapes of every subcommand: optional flags present and absent,
+# flags after and between positionals, both spellings of -o/--output.
+PLAIN_SHAPES = [
+    ["forest", "--n", "3"],
+    ["forest", "--n", "4", "--kind", "fnt", "--t", "3", "--format", "json"],
+    ["forest", "--format", "dot", "--kind", "tn", "--n", "2"],
+    ["classify", "--values", "0,1/3,1"],
+    ["classify", "--values", ""],
+    ["analyze", "p.json"],
+    ["analyze", "--json", "p.json"],
+    ["axiomatize", "p.json"],
+    ["axioms", "--kind", "rho", "--n", "5"],
+    ["taut", "--n", "2", "--logic", "g3", "--oracle", "X1 | ~X1"],
+    ["taut", "X1", "--n", "1"],
+    ["taut", "--n", "0", ""],
+    ["equiv", "--n", "2", "X1 & X2", "X2 & X1"],
+    ["equiv", "X1", "--logic", "g4", "X1 | 0", "--n", "1"],
+    ["synthesize", "leaves.json", "--n", "2", "-o", "out.json"],
+    ["synthesize", "--output", "out.json", "--n", "3", "leaves.json"],
+    ["count", "--n", "3", "--kind", "leaves"],
+    ["count", "--kind", "overlap2", "--n", " 12"],
+]
+
+
+def readme_argv() -> list[list[str]]:
+    import re
+    import shlex
+
+    readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(command, comments=True)[1:]
+            for command in re.findall(r"^godelforest .*$", readme, re.M)]
+
+
+def argparse_reading(parser, argv: list[str]) -> dict | None:
+    """`vars(parser.parse_args(argv))`, or None where argparse exits."""
+    import contextlib
+    import io
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_plain_reader_reads_every_shape_and_readme_command_as_argparse_does():
+    from godelforest.cli import _read_plain, build_parser
+
+    parser = build_parser()
+    for argv in PLAIN_SHAPES + readme_argv():
+        plain = _read_plain(argv)
+        assert plain is not None, argv
+        assert vars(plain) == argparse_reading(parser, argv), argv
+
+
+#: What the fuzz puts in place of a value, a token or the subcommand, or
+#: inserts: help, `--`, `-`, negative, signed, spaced and Unicode-digit
+#: ints, bad choices, choices of other subcommands, empty strings.
+ODD_TOKENS = [
+    "-h", "--help", "--", "-", "", " ", "-1", "-0", "+2", " 3", "3_0", "٣", "３", "1.5",
+    "0x3", "x", "-X1 | X2", "—n", "X1", "--n", "--kind", "-o", "--json", "--oracle",
+    "FN", "rn", "json", "tau", "rho", "leaves", "weak-ruspini", "g3", "extra.json",
+]
+SUBCOMMAND_TOKENS = ["tau", "forests", "Count", "", "--n", "-h", "syn", "taut"]
+
+
+def mutate(rng, argv: list[str]) -> list[str]:
+    argv = list(argv)
+    flags = [k for k, token in enumerate(argv) if token.startswith("-")]
+    kind = rng.randrange(10)
+    if kind == 0 and flags:  # an abbreviation, `--` included
+        k = rng.choice(flags)
+        argv[k] = argv[k][:max(1, rng.randrange(len(argv[k])))]
+    elif kind == 1 and flags:  # a --flag=value form, on store_true flags too
+        k = rng.choice(flags)
+        value = argv.pop(k + 1) if k + 1 < len(argv) and rng.random() < 0.7 else rng.choice(
+            ["", "1", "rn", "-1"])
+        argv[k] += "=" + value
+    elif kind == 2 and flags:  # a repeated flag, with or without a value
+        k = rng.choice(flags)
+        argv += argv[k:k + rng.randrange(1, 3)]
+    elif kind == 3 and flags:  # a single-dash flag with its value attached
+        k = rng.choice(flags)
+        if k + 1 < len(argv):
+            argv[k:k + 2] = ["-" + argv[k].lstrip("-")[:1] + argv[k + 1]]
+    elif kind == 4 and len(argv) > 1:  # a token replaced
+        argv[rng.randrange(1, len(argv))] = rng.choice(ODD_TOKENS)
+    elif kind == 5:  # a token inserted
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(ODD_TOKENS))
+    elif kind == 6 and len(argv) > 1:  # a token dropped
+        del argv[rng.randrange(len(argv))]
+    elif kind == 7 and len(argv) > 2:  # two tokens swapped
+        k = rng.randrange(1, len(argv) - 1)
+        argv[k], argv[k + 1] = argv[k + 1], argv[k]
+    elif kind == 8 and argv:
+        argv[0] = rng.choice(SUBCOMMAND_TOKENS)
+    elif kind == 9:  # an extra positional
+        argv.append(rng.choice(["extra.json", "X1", ""]))
+    return argv
+
+
+def test_plain_reader_agrees_with_argparse_or_declines_on_fuzzed_argv():
+    import random
+
+    from godelforest.cli import _read_plain, build_parser
+
+    rng, parser = random.Random(1313), build_parser()
+    bases = PLAIN_SHAPES + readme_argv()
+    plain_reads = argparse_exits = 0
+    for _ in range(3000):
+        argv = rng.choice(bases)
+        for _ in range(rng.choice([1, 1, 1, 2])):
+            argv = mutate(rng, argv)
+        expected, plain = argparse_reading(parser, argv), _read_plain(argv)
+        if plain is not None:
+            plain_reads += 1
+            assert vars(plain) == expected, argv
+        if expected is None:
+            argparse_exits += 1
+            assert plain is None, argv
+    # Neither outcome is rare, so neither half of the check is vacuous.
+    assert plain_reads > 200 and argparse_exits > 200

@@ -18,7 +18,7 @@ from godelforest import (
     truncated_subforest,
     two_overlap_subforest,
 )
-from godelforest.exports import subforest_to_dot, write_subforest_json
+from godelforest.exports import subforest_to_dot, write_subforest_dot, write_subforest_json
 from helpers import random_subforest, reference_subforest_to_dot
 
 
@@ -94,3 +94,16 @@ def test_writer_writes_1000_nodes_per_batch():
     writes = []
     write_subforest_json(full_subforest(enumerate_forest(5)), SimpleNamespace(write=writes.append))
     assert [text.count('"id": ') for text in writes] == [0, 1000, 1000, 163, 0]
+
+
+def test_dot_writer_streams_f6_with_less_than_half_the_peak():
+    # Node lines go out 1,000 at a time and each tree's edges when it
+    # closes, so the text held at once is a batch and one tree's edges.
+    sub = full_subforest(enumerate_forest(6))
+    writer_peak = peak_bytes(lambda: write_subforest_dot(sub, CountingSink()))
+    string_peak = peak_bytes(lambda: subforest_to_dot(sub))
+    assert writer_peak < string_peak / 2
+    writes = []
+    write_subforest_dot(sub, SimpleNamespace(write=writes.append))
+    assert "".join(writes) == subforest_to_dot(sub)
+    assert max(text.count(" [label=") for text in writes) <= 1000

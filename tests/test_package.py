@@ -86,25 +86,25 @@ def test_package_reads_the_patched_binding(monkeypatch):
 
 
 # The package's submodules a subcommand loads, and which of the standard
-# library's `dataclasses`, `inspect`, `json` and `fractions` (which imports
-# `decimal` and `numbers`) it loads.  The script reads sys.modules before it
-# imports json itself.
+# library's `argparse`, `dataclasses`, `inspect`, `json` and `fractions`
+# (which imports `decimal` and `numbers`) it loads.  The script reads
+# sys.modules before it imports json itself.
 FOOTPRINT = (
     "import contextlib, io, sys\n"
     "from godelforest.cli import main\n"
-    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
     "loaded = sorted(m for m in sys.modules if m.startswith('godelforest.')\n"
-    "                or m in ('dataclasses', 'inspect', 'json', 'fractions'))\n"
+    "                or m in ('argparse', 'dataclasses', 'inspect', 'json', 'fractions'))\n"
     "import json\n"
     "print(json.dumps([code, loaded]))\n"
 )
 DATA = pathlib.Path(SRC).parent / "data"
 
 
-def loaded_modules(*argv: str, prelude: str = "") -> set[str]:
-    code, modules = json.loads(run_python(prelude + FOOTPRINT, *argv))
-    assert code == 0
+def loaded_modules(*argv: str, prelude: str = "", code: int = 0) -> set[str]:
+    exit_code, modules = json.loads(run_python(prelude + FOOTPRINT, *argv))
+    assert exit_code == code
     return {m.removeprefix("godelforest.") for m in modules}
 
 
@@ -119,7 +119,7 @@ def test_count_loads_only_cli_and_counts():
 ])
 def test_decisions_load_no_partitions_axioms_or_exports(argv):
     # Nor `json` or `fractions`: the formula evaluator imports it when called.
-    assert loaded_modules(*argv) == {"cli", "formulas", "semantics", "forest"}
+    assert loaded_modules(*argv) == {"cli", "formulas", "semantics", "forest", "records"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -131,24 +131,57 @@ def test_forest_and_classify_load_no_semantics_or_axioms(argv):
     # `forest` writes its JSON itself and makes no Fraction; `classify`
     # reads rationals and prints the class with `json`.
     more = {"partitions", "json", "fractions"} if argv[0] == "classify" else set()
-    assert loaded_modules(*argv) == {"cli", "exports", "forest"} | more
+    assert loaded_modules(*argv) == {"cli", "exports", "forest", "records"} | more
 
 
-# `partitions` and `axioms` import `fractions` as they load.
-AXIOMS_AND_BELOW = {"cli", "axioms", "formulas", "forest", "partitions", "semantics", "fractions"}
+# `partitions` imports `fractions` as it loads.  Only `analyze` decides a
+# formula, so only it loads `semantics`; the stock axioms load `formulas`
+# and nothing of the forest or partitions.
+PARTITION_AXIOMS = {"cli", "axioms", "formulas", "forest", "partitions", "records", "fractions",
+                    "json"}
 
 
-@pytest.mark.parametrize("argv, more", [
-    (["axioms", "--kind", "tau", "--n", "4"], set()),
-    (["axiomatize", str(DATA / "partitions" / "triangular_triple.json")], {"json"}),
-    (["analyze", str(DATA / "partitions" / "triangular_triple.json")], {"exports", "json"}),
-    (["analyze", "--json", str(DATA / "partitions" / "step_pair.json")], {"exports", "json"}),
+@pytest.mark.parametrize("argv, expected", [
+    (["axioms", "--kind", "tau", "--n", "4"], {"cli", "records", "formulas", "axioms"}),
+    (["axioms", "--kind", "rho", "--n", "4"], {"cli", "records", "formulas", "axioms"}),
+    (["axiomatize", str(DATA / "partitions" / "triangular_triple.json")], PARTITION_AXIOMS),
+    (["analyze", str(DATA / "partitions" / "triangular_triple.json")],
+     PARTITION_AXIOMS | {"exports", "semantics"}),
+    (["analyze", "--json", str(DATA / "partitions" / "step_pair.json")],
+     PARTITION_AXIOMS | {"exports", "semantics"}),
     (["synthesize", str(DATA / "leaves" / "ruspini2_pair.json"), "--n", "2", "-o", "{out}"],
-     {"exports", "json"}),
-], ids=["axioms", "axiomatize", "analyze", "analyze-json", "synthesize"])
-def test_axiom_subcommands_load_exactly_their_modules(argv, more, tmp_path):
+     PARTITION_AXIOMS | {"exports"}),
+], ids=["axioms", "axioms-rho", "axiomatize", "analyze", "analyze-json", "synthesize"])
+def test_axiom_subcommands_load_exactly_their_modules(argv, expected, tmp_path):
     argv = [arg.format(out=tmp_path / "p.json") for arg in argv]
-    assert loaded_modules(*argv) == AXIOMS_AND_BELOW | more
+    assert loaded_modules(*argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["forest", "--n", "3", "--kind", "fnt", "--t", "3", "--format", "json"],
+    ["classify", "--values", "1/2,1/2"],
+    ["analyze", str(DATA / "partitions" / "step_pair.json"), "--json"],
+    ["axiomatize", str(DATA / "partitions" / "step_pair.json")],
+    ["axioms", "--n", "3", "--kind", "rho"],
+    ["taut", "X1 | ~X1", "--oracle", "--logic", "g3", "--n", "1"],
+    ["equiv", "X1", "--n", "1", "X1 & X1", "--logic", "g2"],
+    ["synthesize", "--n", "2", str(DATA / "leaves" / "ruspini2_pair.json"), "--output", "{out}"],
+    ["count", "--kind", "overlap2", "--n", "3"],
+], ids=lambda argv: argv[0])
+def test_valid_invocations_load_no_argparse(argv, tmp_path):
+    argv = [arg.format(out=tmp_path / "p.json") for arg in argv]
+    assert "argparse" not in loaded_modules(*argv)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0),
+    (["taut", "--help"], 0),
+    (["count", "--n", "3"], 2),
+    (["count", "--n=3", "--kind", "leaves"], 0),
+    (["taut", "--n", "-1", "X1"], 1),
+])
+def test_help_usage_errors_and_corner_cases_load_argparse(argv, code):
+    assert "argparse" in loaded_modules(*argv, code=code)
 
 
 def test_footprint_sees_stdlib_modules_where_loaded():
@@ -156,5 +189,5 @@ def test_footprint_sees_stdlib_modules_where_loaded():
     # loaded before the subcommand runs is reported.
     argv = ["taut", "--n", "1", "X1 | ~X1"]
     assert "json" not in loaded_modules(*argv)
-    loaded = loaded_modules(*argv, prelude="import dataclasses, fractions, json\n")
-    assert {"dataclasses", "inspect", "json", "fractions"} <= loaded
+    loaded = loaded_modules(*argv, prelude="import argparse, dataclasses, fractions, json\n")
+    assert {"argparse", "dataclasses", "inspect", "json", "fractions"} <= loaded

@@ -206,6 +206,25 @@ def test_forest_decision_agrees_with_grid_oracle():
             ), (f, t)
 
 
+def test_decisions_at_n0_agree_with_the_grid_in_every_logic():
+    # A variable-free formula takes only 0 or 1, so every logic agrees.
+    texts = ["1", "0", "0 -> 0", "~0 <| 1", "(1 -> 0) | ~~0", "1 <-> ~0"]
+    formulas = [parse_formula(text) for text in texts]
+    for logic in (GINF, Logic(2), Logic(3), Logic(4), Logic(5)):
+        for a in formulas:
+            verdict = grid_tautology_oracle(a, 0, logic.t or 2)
+            assert is_tautology(a, 0, logic) == verdict == (eval_formula(a, ()) == 1), a
+            for b in formulas:
+                va, vb = eval_formula(a, ()), eval_formula(b, ())
+                assert proves_equiv(a, b, 0, logic) == (va == vb)
+                assert proves_implies(a, b, 0, logic) == (va <= vb)
+        for decide in (lambda: is_tautology(Var(1), 0, logic),
+                       lambda: proves_equiv(Top(), Var(1), 0, logic),
+                       lambda: proves_implies(Var(1), Top(), 0, logic)):
+            with pytest.raises(ValueError, match="^formula uses X1 but n is 0$"):
+                decide()
+
+
 def test_infinite_tautology_implies_every_finite_one():
     rng = random.Random(31337)
     for _ in range(120):
