@@ -279,9 +279,9 @@ def build_parser():
 
 def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     """`build_parser().parse_args(argv)`'s namespace where a plain reading is sure
-    of it, else None: a subcommand, its positionals and its exact flags, each
-    once with its value; no value starts with `-`, each is of its type and among
-    its choices, and every required flag is given.  argparse reads the rest."""
+    of it, else None: a subcommand, its positionals and its exact flags with
+    their values (the last wins); no value starts with `-`, each is of its type
+    and among its choices, and every required flag is given.  argparse reads the rest."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, func, arguments = _COMMANDS[argv[0]]
@@ -299,7 +299,7 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
             free.append(token)
             continue
         dest, keywords = flags.get(token, (None, None))
-        if dest is None or dest in given:
+        if dest is None:
             return None
         given.add(dest)
         if "action" in keywords:  # store_true

@@ -565,7 +565,8 @@ def test_readme_commands_all_run(capsys, tmp_path, monkeypatch):
 
 
 # Argument shapes of every subcommand: optional flags present and absent,
-# flags after and between positionals, both spellings of -o/--output.
+# flags after and between positionals, both spellings of -o/--output, and
+# repeated flags, whose last value wins.
 PLAIN_SHAPES = [
     ["forest", "--n", "3"],
     ["forest", "--n", "4", "--kind", "fnt", "--t", "3", "--format", "json"],
@@ -585,6 +586,9 @@ PLAIN_SHAPES = [
     ["synthesize", "--output", "out.json", "--n", "3", "leaves.json"],
     ["count", "--n", "3", "--kind", "leaves"],
     ["count", "--kind", "overlap2", "--n", " 12"],
+    ["count", "--n", "3", "--kind", "leaves", "--n", "4"],
+    ["analyze", "--json", "p.json", "--json"],
+    ["synthesize", "-o", "a.json", "leaves.json", "--n", "2", "--output", "b.json"],
 ]
 
 

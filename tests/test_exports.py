@@ -105,5 +105,5 @@ def test_dot_writer_streams_f6_with_less_than_half_the_peak():
     assert writer_peak < string_peak / 2
     writes = []
     write_subforest_dot(sub, SimpleNamespace(write=writes.append))
-    assert "".join(writes) == subforest_to_dot(sub)
+    assert "".join(writes) == reference_subforest_to_dot(sub)
     assert max(text.count(" [label=") for text in writes) <= 1000

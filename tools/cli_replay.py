@@ -8,14 +8,13 @@ even request numbers and the change on odd ones.  Each run gets a fresh
 empty working directory holding the request's input files, so files that a
 run writes (such as `synthesize` output) are read back and compared too.
 The environment is passed on as it is, PYTHONDONTWRITEBYTECODE included.
-With --extra FILE it also replays each argv of FILE, a JSON list of argv
-lists, in an empty working directory, under the category `extra`;
-`tools/cli_edge_argv.json` lists help and usage-error argv.  Make the two
-checkouts as clean copies of the commits, for example:
+After the rounds it replays each argv of the change's
+`tools/cli_edge_argv.json` (help, usage errors and other argv that argparse
+reads) in an empty working directory, under the category `extra`.  Make the
+two checkouts as clean copies of the commits, for example:
 
     git clone -q . ../parent && git -C ../parent checkout <parent-commit>
-    python3 tools/cli_replay.py --parent ../parent --change . --seed 1 --seed 2 \\
-        --extra tools/cli_edge_argv.json
+    python3 tools/cli_replay.py --parent ../parent --change . --seed 1 --seed 2
 
 It prints every request whose exit code, stdout, stderr or written files
 differ, then per category (the subcommand; `forest` per n) the request
@@ -88,16 +87,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--seed", type=int, action="append",
                         help="cli round to replay (repeatable; default: 1 and 2)")
-    parser.add_argument("--extra", help="JSON list of more argv to replay")
     parser.add_argument("--out", help="also write the summary as JSON here")
     args = parser.parse_args(argv)
     gen = load_gen(args.parent)
     checkouts = {"parent": args.parent, "change": args.change}
     rounds = [(seed, gen.generate("cli", seed, args.parent)) for seed in args.seed or [1, 2]]
-    if args.extra:
-        with open(args.extra, encoding="utf-8") as handle:
-            rounds.append(("extra", [{"argv": argv, "files": {}, "cat": "extra"}
-                                     for argv in json.load(handle)]))
+    edge_argv = os.path.join(args.change, "tools", "cli_edge_argv.json")
+    with open(edge_argv, encoding="utf-8") as handle:
+        rounds.append(("extra", [{"argv": argv, "files": {}, "cat": "extra"}
+                                 for argv in json.load(handle)]))
     differing, times = [], {}
     total = 0
     for seed, requests in rounds:
@@ -128,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['change_ms']:>10.1f} {row['delta_ms']:>+9.1f}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump({"seeds": args.seed or [1, 2], "extra": args.extra, "requests": total, "differing": differing,
+            json.dump({"seeds": args.seed or [1, 2], "requests": total, "differing": differing,
                        "per_category": summary}, handle, indent=1)
             handle.write("\n")
     return 1 if differing else 0
