@@ -42,11 +42,9 @@ def disjunction(terms: Sequence[Formula]) -> Formula:
 def chain_normal_form(c: AssignmentClass) -> Formula:
     """Conjunction tracing c's chain from 0 to 1, <| for strict steps and
     <-> for ties; its value-1 set is the downset of c."""
-    values = c.representative()
-    order = sorted(range(1, c.n + 1), key=lambda i: (values[i - 1], i))
-    anchored: list[tuple[Formula, Fraction | int]] = [(Bot(), 0)]
-    anchored.extend((Var(i), values[i - 1]) for i in order)
-    anchored.append((Top(), 1))
+    top = len(c.mid) + 1  # the level of 1; 0 is at 0, and mid block i at i
+    blocks = [(c.zero, 0), *zip(c.mid, range(1, top)), (c.one, top)]
+    anchored = [(Bot(), 0), *[(Var(v), level) for b, level in blocks for v in b], (Top(), top)]
     terms = [
         Iff(fa, fb) if va == vb else Lhd(fa, fb)
         for (fa, va), (fb, vb) in itertools.pairwise(anchored)

@@ -11,7 +11,7 @@ from io import StringIO
 from itertools import count
 from typing import TYPE_CHECKING, Callable, TextIO
 
-from .forest import AssignmentClass, Subforest
+from .forest import AssignmentClass, Subforest, _class
 
 if TYPE_CHECKING:
     from .axioms import AnalysisReport
@@ -42,12 +42,11 @@ def class_from_json(obj: object, n: int) -> AssignmentClass:
 
 def subforest_to_json(sub: Subforest) -> dict:
     """Nodes in canonical order with parent links by node id."""
-    members, parents = sub.forest.walk(sub.mask)
-    nodes = [
-        dict(class_to_json(c), id=k, label=c.chain_string(), parent=parent)
-        for k, (c, parent) in enumerate(zip(members, parents))
-    ]
-    return {"n": sub.forest.n, "count": len(nodes), "nodes": nodes}
+    n, nodes = sub.forest.n, []
+    for k, up, zero, mid, one in sub.forest.walk(sub.mask):
+        c = _class(n, zero, mid, one)
+        nodes.append(dict(class_to_json(c), id=k, label=c.chain_string(), parent=up))
+    return {"n": n, "count": len(nodes), "nodes": nodes}
 
 
 def _json_list(items: list[str], pad: str) -> str:
@@ -92,9 +91,7 @@ def write_subforest_json(sub: Subforest, out: TextIO) -> None:
     label, mids, batch, lead = _chain_labels(n), [""] * (n + 1), [], "[\n"
     lists = cache(lambda vs: _json_list(list(map(str, vs)), " " * 8))
     blocks, close = cache(lambda vs: _json_list(list(map(str, vs)), " " * 10)), "\n      ]"
-
-    def build(k: int, up: int | None, zero: tuple, mid: tuple, one: tuple) -> None:
-        nonlocal lead
+    for k, up, zero, mid, one in sub.forest.walk(sub.mask):
         if d := len(mid):  # mids[d]: the text of mid's list but its closing bracket
             mids[d] = (mids[d - 1] + "," if d > 1 else "[") + "\n        " + blocks(mid[-1])
         batch.append(
@@ -111,8 +108,6 @@ def write_subforest_json(sub: Subforest, out: TextIO) -> None:
             out.write(lead + ",\n".join(batch))
             lead = ",\n"
             batch.clear()
-
-    sub.forest.walk(sub.mask, build)
     if batch:
         out.write(lead + ",\n".join(batch))
     out.write("\n  ]\n}")
@@ -120,24 +115,25 @@ def write_subforest_json(sub: Subforest, out: TextIO) -> None:
 
 def write_subforest_dot(sub: Subforest, out: TextIO) -> None:
     """Write one digraph per tree, nodes labeled with their chain strings: its
-    node lines, a batch per write, then its edges, written when it closes."""
-    label, lines, edges, trees = _chain_labels(sub.forest.n), [], [], count()
-
-    def build(k: int, up: int | None, zero: tuple, mid: tuple, one: tuple) -> None:
+    node lines, a batch per write, then its edges, written when it closes and
+    held meanwhile as one string per batch."""
+    label, lines, edges, held, trees = _chain_labels(sub.forest.n), [], [], [], count()
+    for k, up, zero, mid, one in sub.forest.walk(sub.mask):
         if up is None:  # a root: the last tree closes, and the next opens
             if k:
-                out.write("".join([*lines, *edges, "}\n"]))
-                del lines[:], edges[:]
+                out.write("".join([*lines, *held, *edges, "}\n"]))
+                del lines[:], edges[:], held[:]
             lines.append(f"digraph tree_{next(trees)} {{\n  node [shape=box];\n")
         else:
             edges.append(f"  n{up} -> n{k};\n")
+            if len(edges) == _WRITE_BATCH:
+                held.append("".join(edges))
+                edges.clear()
         lines.append(f'  n{k} [label="{label(zero, mid, one)}"];\n')
         if len(lines) >= _WRITE_BATCH:
             out.write("".join(lines))
             lines.clear()
-
-    sub.forest.walk(sub.mask, build)
-    out.write("".join([*lines, *edges, "}\n"]) if sub.mask else "\n")
+    out.write("".join([*lines, *held, *edges, "}\n"]) if sub.mask else "\n")
 
 
 def subforest_to_dot(sub: Subforest) -> str:

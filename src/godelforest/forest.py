@@ -18,8 +18,8 @@ classes themselves are built only when asked for.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, count
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from itertools import combinations
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .records import _Record
 
@@ -161,8 +161,8 @@ class Forest:
     an interval of ids.  A set of nodes is a Python int used as a bitmask,
     bit i standing for node i.  The depth and generator masks are built by
     concatenating per-shape tree masks.  No class is stored: `path` ranks a
-    class to its ids and `walk` builds the classes of a downset mask, both
-    from the tree-shape table of `_children`.
+    class to its ids and `walk` yields the blocks of a downset mask's
+    members, both from the tree-shape table of `_children`.
 
     Instances are immutable once built; use :func:`enumerate_forest`.
     """
@@ -220,31 +220,24 @@ class Forest:
             ids.append(i)
         return ids
 
-    def walk(self, mask: int, build: Optional[Callable] = None) -> Optional[tuple]:
-        """Members of a downset mask in id order, and the position among them
-        of each one's parent (None for a root); or, given `build`, no class and
-        no result: the k-th member goes to `build(k, up, zero, mid, one)`, `up`
-        being its parent's position.  Only members and their children are
-        visited: a child outside the mask is passed over, with its subtree."""
-        if collect := build is None:
-            n, classes, parents = self.n, [], []
-
-            def build(k: int, up: Optional[int], zero: tuple, mid: tuple, one: tuple) -> None:
-                classes.append(_class(n, zero, mid, one))
-                parents.append(up)
-
-        bits, ks = mask.to_bytes(len(self) + 7 >> 3, "little"), count()  # bit i: bits[i >> 3]
-
-        def visit(zero: tuple, mid: tuple, one: tuple, i: int, up: Optional[int]) -> None:
-            build(k := next(ks), up, zero, mid, one)
-            for block, (step, rest) in _children(one)[0].items():
+    def walk(self, mask: int) -> Iterator[tuple[int, Optional[int], tuple, tuple, tuple]]:
+        """Yield `(k, up, zero, mid, one)` for each member of a downset mask,
+        in id order: the member's position k, its parent's position `up`
+        (None for a root) and its blocks.  Only members and their children
+        are visited: a child outside the mask is passed over, with its
+        subtree."""
+        bits = mask.to_bytes(len(self) + 7 >> 3, "little")  # bit i: bits[i >> 3]
+        stack = [(i, None, zero, (), one) for zero, (i, one) in reversed(self._roots.items())
+                 if bits[i >> 3] >> (i & 7) & 1]
+        k = 0
+        while stack:
+            i, up, zero, mid, one = stack.pop()
+            yield k, up, zero, mid, one
+            # Children go on last to first, so the first comes off next.
+            for block, step, rest in _children(one)[2]:
                 if bits[(j := i + step) >> 3] >> (j & 7) & 1:
-                    visit(zero, mid + (block,), rest, j, k)
-
-        for zero, (i, one) in self._roots.items():
-            if bits[i >> 3] >> (i & 7) & 1:
-                visit(zero, (), one, i, None)
-        return (classes, parents) if collect else None
+                    stack.append((j, k, zero, mid + (block,), rest))
+            k += 1
 
     def upset(self, mask: int) -> int:
         """Nodes lying in the subtree of some node of mask.
@@ -310,19 +303,21 @@ _Children = dict[tuple[int, ...], tuple[int, tuple[int, ...]]]
 
 
 @lru_cache(maxsize=None)
-def _children(one: tuple[int, ...]) -> tuple[_Children, int]:
-    """Shape of a tree whose root has the variables `one` at 1, and its size.
+def _children(one: tuple[int, ...]) -> tuple[_Children, int, tuple]:
+    """Shape of a tree whose root has the variables `one` at 1, its size, and
+    its children last to first, the order a stack takes them in.
 
     This is the one definition of the preorder: the root comes first, then
     one child subtree per nonempty block of `one`, in `_splits` order, the
     child keeping the rest at 1.  The table maps each block to the child's
-    id step from the root and the variables it keeps at 1."""
+    id step from the root and the variables it keeps at 1; the last item
+    lists them as `(block, step, rest)`."""
     table: _Children = {}
     step = 1
     for block, rest in _splits(one):
         table[block] = (step, rest)
         step += _children(rest)[1]
-    return table, step
+    return table, step, tuple((b, *child) for b, child in reversed(table.items()))
 
 
 _TreeMasks = tuple[list[int], list[int]]
@@ -362,9 +357,9 @@ def _tree_masks(n: int) -> list[_TreeMasks]:
 @lru_cache(maxsize=None)
 def enumerate_forest(n: int) -> Forest:
     """The full forest over n variables (guarded, n <= 8)."""
-    if not 1 <= n <= MAX_FOREST_VARIABLES:
+    if type(n) is not int or not 1 <= n <= MAX_FOREST_VARIABLES:
         raise ValueError(
-            f"forest enumeration supports 1 <= n <= {MAX_FOREST_VARIABLES}, got {n}"
+            f"forest enumeration supports 1 <= n <= {MAX_FOREST_VARIABLES}, got {n!r}"
         )
     return Forest(n)
 
@@ -380,7 +375,7 @@ class Subforest(_Record):
     """
 
     __match_args__ = ("forest", "mask")
-    __slots__ = (*__match_args__, "_walked")  # forest.walk(mask), on first use
+    __slots__ = (*__match_args__, "_walked")  # _walk(), on first use
     forest: Forest
     mask: int
 
@@ -412,8 +407,13 @@ class Subforest(_Record):
             raise ValueError("subforests live in different ambient forests")
 
     def _walk(self) -> tuple[list[AssignmentClass], list[Optional[int]]]:
+        """The members in id order, and each one's parent's position."""
         if not hasattr(self, "_walked"):
-            object.__setattr__(self, "_walked", self.forest.walk(self.mask))
+            n, classes, parents = self.forest.n, [], []
+            for _, up, zero, mid, one in self.forest.walk(self.mask):
+                classes.append(_class(n, zero, mid, one))
+                parents.append(up)
+            object.__setattr__(self, "_walked", (classes, parents))
         return self._walked
 
     @property

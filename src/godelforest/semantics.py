@@ -76,21 +76,18 @@ def formula_forest(f: Formula, forest: Forest) -> Subforest:
     return Subforest._from_mask(forest, run(program(f), forest.generators, 0, full, ops))
 
 
-def _region(forest: Forest, logic: Logic) -> int:
-    """Mask of the classes a logic's verdicts range over."""
-    return forest.full if logic.t is None else forest.truncation(logic.t)
-
-
 def is_tautology(f: Formula, n: int, logic: Logic = GINF) -> bool:
     """Decide provability of f, restricted to n variables.
 
     Infinite-valued: f must take value 1 on every class.  t-valued: f must
-    take value 1 on every class of the height-(t-1) truncation.
+    take value 1 on every class of the height-(t-1) truncation.  This is
+    the one decision: `proves_equiv` and `proves_implies` ask it of
+    `a <-> b` and `a -> b`.
     """
-    if n == 0:  # a variable-free formula takes 0 or 1, in every logic
+    if n == 0 and type(n) is int:  # a variable-free formula takes 0 or 1, in every logic
         return eval_formula(f, ()) == 1
     forest = enumerate_forest(n)
-    region = _region(forest, logic)
+    region = forest.full if logic.t is None else forest.truncation(logic.t)
     return formula_forest(f, forest).mask & region == region
 
 
@@ -107,8 +104,9 @@ def grid_tautology_oracle(f: Formula, n: int, t: int) -> bool:
     field per point (see _GridFrame).  The first failing block ends the
     check.
     """
-    if t < 2:
-        raise ValueError(f"a finite-valued logic needs t >= 2, got {t}")
+    if type(n) is not int or n < 0:  # bool too, as Logic refuses a bool t
+        raise ValueError(f"the grid needs an integer n >= 0, got {n!r}")
+    Logic(t)  # refuses t < 2 and a t that is not an int
     if t**n > GRID_ORACLE_BUDGET:
         raise ValueError(
             f"grid of {t}**{n} assignments exceeds the budget of {GRID_ORACLE_BUDGET}"
@@ -229,19 +227,11 @@ def _staircase(count: int, run: int, wb: int) -> int:
 
 def proves_equiv(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:
     """Provable equivalence: the two value-1 subforests coincide on the
-    forest relevant to the logic."""
-    if n == 0:
-        return is_tautology(Iff(a, b), 0)
-    forest = enumerate_forest(n)
-    fa, fb = formula_forest(a, forest), formula_forest(b, forest)
-    return not (fa.mask ^ fb.mask) & _region(forest, logic)
+    forest relevant to the logic, that is, `a <-> b` is a tautology there."""
+    return is_tautology(Iff(a, b), n, logic)
 
 
 def proves_implies(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:
     """Provable implication: value-1 subforest inclusion on the relevant
-    forest."""
-    if n == 0:
-        return is_tautology(Implies(a, b), 0)
-    forest = enumerate_forest(n)
-    fa, fb = formula_forest(a, forest), formula_forest(b, forest)
-    return not fa.mask & ~fb.mask & _region(forest, logic)
+    forest, that is, `a -> b` is a tautology there."""
+    return is_tautology(Implies(a, b), n, logic)

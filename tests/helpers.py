@@ -43,6 +43,9 @@ from godelforest import (
     conjunction,
     disjunction,
     downset,
+    enumerate_forest,
+    eval_formula,
+    formula_forest,
     is_ruspini_leaf,
     ruspini_subforest,
 )
@@ -96,11 +99,12 @@ _BINARY = {"and": And, "or": Or, "implies": Implies, "iff": Iff, "lhd": Lhd}
 
 
 def random_formula(rng: random.Random, n: int, depth: int) -> Formula:
+    """Random formula over X1..Xn; at n = 0, over the constants alone."""
     if depth <= 0 or rng.random() < 0.25:
         r = rng.random()
-        if r < 0.08:
+        if r < 0.08 or not n and r < 0.58:
             return Bot()
-        if r < 0.16:
+        if r < 0.16 or not n:
             return Top()
         return Var(rng.randint(1, n))
     kind = rng.choice(("not", "and", "or", "implies", "iff", "lhd"))
@@ -371,10 +375,20 @@ def reference_is_ruspini_subforest(sub: Subforest) -> bool:
     return all(is_ruspini_leaf(c) for c in sub.leaves())
 
 
+def walked(forest: Forest, mask: int) -> tuple[list[AssignmentClass], list[Optional[int]]]:
+    """The classes of the members `forest.walk(mask)` yields, in its order,
+    and each one's parent's position (None for a root)."""
+    classes, parents = [], []
+    for _, up, zero, mid, one in forest.walk(mask):
+        classes.append(_class(forest.n, zero, mid, one))
+        parents.append(up)
+    return classes, parents
+
+
 def reference_subforest_to_dot(sub: Subforest) -> str:
     """The DOT export as it was, from the walk's classes and each one's own
     `chain_string()`."""
-    members, parents = sub.forest.walk(sub.mask)
+    members, parents = walked(sub.forest, sub.mask)
     # Each tree is a run of members that starts at its root.
     starts = [k for k, parent in enumerate(parents) if parent is None] + [len(members)]
     lines: list[str] = []
@@ -385,6 +399,31 @@ def reference_subforest_to_dot(sub: Subforest) -> str:
         lines.extend(f"  n{parents[k]} -> n{k};" for k in range(a + 1, b))
         lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _reference_region(forest: Forest, logic: Logic) -> int:
+    """Mask of the classes a logic's verdicts range over."""
+    return forest.full if logic.t is None else forest.truncation(logic.t)
+
+
+def reference_proves_equiv(a: Formula, b: Formula, n: int, logic: Logic) -> bool:
+    """Provable equivalence decided on its own: the value-1 masks of a and b
+    agree on the logic's region (at n = 0, a <-> b evaluates to 1)."""
+    if n == 0:
+        return eval_formula(Iff(a, b), ()) == 1
+    forest = enumerate_forest(n)
+    fa, fb = formula_forest(a, forest), formula_forest(b, forest)
+    return not (fa.mask ^ fb.mask) & _reference_region(forest, logic)
+
+
+def reference_proves_implies(a: Formula, b: Formula, n: int, logic: Logic) -> bool:
+    """Provable implication decided on its own: a's value-1 mask lies in b's
+    on the logic's region (at n = 0, a -> b evaluates to 1)."""
+    if n == 0:
+        return eval_formula(Implies(a, b), ()) == 1
+    forest = enumerate_forest(n)
+    fa, fb = formula_forest(a, forest), formula_forest(b, forest)
+    return not fa.mask & ~fb.mask & _reference_region(forest, logic)
 
 
 def reference_grid_oracle(f: Formula, n: int, t: int) -> bool:

@@ -487,6 +487,10 @@ GOLDEN_DIGESTS = {
         "9e506a20f736e2c812bb7740bc51ec13d2e4212a9d4f1cee6d40b4eb0769c41d",
     "forest --n 5 --kind fnt --t 3 --format dot":
         "377efc8fb3a7df655e3199816e0cd2217b6b36a28a4a3e802ac2a9a97d29efc7",
+    "forest --n 6 --kind rn --format json":
+        "63113221dc0291ddd81b67a5984bb472680b4a41ffe38bc14d43550ffd641b90",
+    "forest --n 6 --kind tn --format json":
+        "aa49fc762de7f79a0f23936208decddda6bcb7fe38ff2f456849eacc88876ad9",
     "analyze --json partitions/complementary_pair.json":
         "4fd618337ab1b7de6e41a9a5b5c5cdbf87dced626a14d03f73b68a6893d0154d",
     "analyze --json partitions/constant_one.json":

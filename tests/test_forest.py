@@ -42,6 +42,7 @@ from helpers import (
     reference_in_ruspini_forest,
     reference_in_two_overlap_forest,
     reference_is_ruspini_subforest,
+    walked,
 )
 
 
@@ -209,22 +210,21 @@ def test_walking_a_one_member_downset_at_n8_formats_no_mask_string():
     assert mask.bit_length() == 2_088_754
     tracemalloc.start()
     try:
-        walked = forest.walk(mask)
+        walk = walked(forest, mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert walked == ([root], [None])
+    assert walk == ([root], [None])
     assert peak < 2**20, peak
 
 
-def test_walk_hands_a_builder_each_members_position_parent_and_blocks():
+def test_walk_yields_each_members_position_parent_and_blocks():
     rng = random.Random(4242)
     for n in range(1, 6):
         forest = enumerate_forest(n)
         for sub in [full_subforest(forest)] + [random_subforest(rng, forest) for _ in range(10)]:
-            visits = []
-            assert forest.walk(sub.mask, lambda *visit: visits.append(visit)) is None
-            classes, parents = forest.walk(sub.mask)
+            visits = list(forest.walk(sub.mask))
+            classes, parents = walked(forest, sub.mask)
             assert visits == [(k, up, c.zero, c.mid, c.one)
                               for k, (c, up) in enumerate(zip(classes, parents))]
 
@@ -232,7 +232,7 @@ def test_walk_hands_a_builder_each_members_position_parent_and_blocks():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_walk_and_path_equal_the_reference(n):
     forest, ref = enumerate_forest(n), reference_forest(n)
-    classes, parents = forest.walk(forest.full)
+    classes, parents = walked(forest, forest.full)
     assert classes == ref.nodes
     assert parents == [None if p < 0 else p for p in ref.parent]
     for i, c in enumerate(ref.nodes):
@@ -253,7 +253,7 @@ def test_walk_members_and_leaves_match_the_reference_on_random_downsets():
             sub = downset(forest, seeds)
             assert sub.mask == sum(1 << i for i in ids)
             position = {i: k for k, i in enumerate(ids)}
-            classes, parents = forest.walk(sub.mask)
+            classes, parents = walked(forest, sub.mask)
             assert classes == [ref.nodes[i] for i in ids]
             assert parents == [None if ref.parent[i] < 0 else position[ref.parent[i]] for i in ids]
             assert sub.members == frozenset(classes)
@@ -312,7 +312,7 @@ def test_chain_string():
 
 def test_classes_are_slotted():
     forest = enumerate_forest(3)
-    node = forest.walk(forest.full)[0][5]
+    node = walked(forest, forest.full)[0][5]
     assert not hasattr(node, "__dict__")
     fresh = AssignmentClass(node.n, node.zero, node.mid, node.one)
     assert fresh == node and hash(fresh) == hash(node)  # walked against validated

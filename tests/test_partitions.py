@@ -22,7 +22,7 @@ from godelforest import (
     realized_classes,
     two_overlap_subforest,
 )
-from helpers import cls, fr
+from helpers import cls, fr, walked
 
 
 def pl(name, *pts):
@@ -141,7 +141,7 @@ def test_partition_forest_size_matches_generated_algebra(complementary_pair):
         algebra |= fresh
 
     fp = partition_forest(complementary_pair)
-    members = fp.forest.walk(fp.mask)[0]
+    members = walked(fp.forest, fp.mask)[0]
     subforests = 0
     for r in range(len(members) + 1):
         for chosen in itertools.combinations(members, r):

@@ -64,12 +64,13 @@ from helpers import (
     random_subforest,
     reference_record,
     reference_value,
+    walked,
 )
 
 
 def forest_classes(n):
     forest = enumerate_forest(n)
-    return forest.walk(forest.full)[0]
+    return walked(forest, forest.full)[0]
 
 
 def partitions():

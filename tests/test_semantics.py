@@ -41,6 +41,8 @@ from helpers import (
     reference_forest,
     reference_formula_forest,
     reference_grid_oracle,
+    reference_proves_equiv,
+    reference_proves_implies,
 )
 
 
@@ -117,6 +119,57 @@ def test_grid_oracle_budget():
         grid_tautology_oracle(Top(), 8, 12)
     with pytest.raises(ValueError):
         grid_tautology_oracle(Top(), 1, 1)
+
+
+# A bad n or t gets one ValueError line, not a TypeError, an AttributeError,
+# itertools' "repeat argument cannot be negative" or a Forest(1) for True.
+@pytest.mark.parametrize("decide, message", [
+    (lambda: grid_tautology_oracle(Top(), -1, 3), "the grid needs an integer n >= 0, got -1"),
+    (lambda: grid_tautology_oracle(Top(), 1, 3.0), "truth-value count 3.0 is not an integer"),
+    (lambda: grid_tautology_oracle(Top(), 1, True), "truth-value count True is not an integer"),
+    (lambda: grid_tautology_oracle(Top(), 2.0, 3), "the grid needs an integer n >= 0, got 2.0"),
+    (lambda: grid_tautology_oracle(Top(), True, 3), "the grid needs an integer n >= 0, got True"),
+    (lambda: is_tautology(Top(), 2.0), "forest enumeration supports 1 <= n <= 8, got 2.0"),
+    (lambda: is_tautology(Top(), 0.0), "forest enumeration supports 1 <= n <= 8, got 0.0"),
+    (lambda: proves_equiv(Top(), Top(), True), "forest enumeration supports 1 <= n <= 8, got True"),
+    (lambda: enumerate_forest(True), "forest enumeration supports 1 <= n <= 8, got True"),
+], ids=["oracle-negative-n", "oracle-float-t", "oracle-bool-t", "oracle-float-n",
+        "oracle-bool-n", "taut-float-n", "taut-float-zero", "equiv-bool-n", "forest-bool-n"])
+def test_decisions_refuse_a_bad_n_or_t_with_one_line(decide, message):
+    enumerate_forest(1), enumerate_forest(2)  # cached: True and 2.0 must still miss
+    with pytest.raises(ValueError) as caught:
+        decide()
+    assert str(caught.value) == message
+
+
+def _pairs(rng, n):
+    """Random formula pairs over X1..Xn: both sides over all n variables,
+    one side variable-free, and one side over fewer variables."""
+    for _ in range(12):
+        a, b = random_formula(rng, n, 4), random_formula(rng, n, 4)
+        yield from ((a, b), (a, Implies(b, a)), (Or(a, b), Or(b, a)))
+        c, d = random_formula(rng, 0, 3), random_formula(rng, rng.randint(0, max(n - 1, 0)), 4)
+        yield from ((a, c), (c, a), (a, d), (d, a))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_decisions_through_is_tautology_match_the_mask_references(n):
+    rng = random.Random(f"proves:{n}")
+    pairs = list(_pairs(rng, n))
+    for logic in (GINF, Logic(2), Logic(3), Logic(4), Logic(5)):
+        equivs = [proves_equiv(a, b, n, logic) for a, b in pairs]
+        implies = [proves_implies(a, b, n, logic) for a, b in pairs]
+        assert equivs == [reference_proves_equiv(a, b, n, logic) for a, b in pairs], logic
+        assert implies == [reference_proves_implies(a, b, n, logic) for a, b in pairs], logic
+        assert any(equivs) and not all(equivs) and any(implies) and not all(implies)
+        # X(n+1) on one side: the same refusal as the references.
+        for a, b in pairs[:6]:
+            wide = And(a, Var(n + 1))
+            for decide in (proves_equiv, proves_implies,
+                           reference_proves_equiv, reference_proves_implies):
+                for x, y in ((wide, b), (b, wide)):
+                    with pytest.raises(ValueError, match=f"^formula uses X{n + 1} but n is {n}$"):
+                        decide(x, y, n, logic)
 
 
 def _grid_cases(rng, n, count):
