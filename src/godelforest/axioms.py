@@ -87,8 +87,8 @@ AXIOM_MAX_N = {"rho": 360, "tau": 90}
 
 
 def _check_axiom_budget(kind: str, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if type(n) is not int or n < 1:  # bool too: True is not a count
+        raise ValueError(f"need n >= 1, got {n!r}")
     limit = AXIOM_MAX_N[kind]
     if n > limit:
         raise ValueError(

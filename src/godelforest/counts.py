@@ -15,8 +15,8 @@ def ordered_bell(n: int) -> int:
     The sum of c_j * j**n over j = 0..n, where c_n = 1 and c_j = 2 * c_(j+1)
     + (-1)**(n-j) * C(n+1, j+1): O(n) big-int steps and no recursion.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    if type(n) is not int or n < 0:  # bool too: True is not a count
+        raise ValueError(f"need n >= 0, got {n!r}")
     if n:
         _check_count_budget("leaves", n)
     total, c, binom, sign = 0, 1, 1, -1  # c_j, C(n+1, j+1), (-1)**(n-j+1) at j = n
@@ -34,8 +34,8 @@ COUNT_MAX_N = {"leaves": 4000, "weak-ruspini": 8, "overlap2": 850}
 
 
 def _check_count_budget(kind: str, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if type(n) is not int or n < 1:  # bool too: True is not a count
+        raise ValueError(f"need n >= 1, got {n!r}")
     limit = COUNT_MAX_N[kind]
     if n > limit:
         raise ValueError(

@@ -45,6 +45,8 @@ class AssignmentClass(_Record):
     one: tuple[int, ...]
 
     def __init__(self, n: int, zero: tuple, mid: tuple, one: tuple) -> None:
+        if type(n) is not int:  # bool too: True is not a count
+            raise ValueError(f"variable count {n!r} is not an integer")
         if n < 1:
             raise ValueError("a class needs at least one variable")
         seen: set[int] = set()
@@ -261,8 +263,8 @@ class Forest:
 
     def truncation(self, t: int) -> int:
         """Mask of the height-(t-1) truncation used by t-valued logic."""
-        if t < 2:
-            raise ValueError(f"a finite-valued logic needs t >= 2, got {t}")
+        if type(t) is not int or t < 2:  # bool too, as Logic refuses
+            raise ValueError(f"a finite-valued logic needs t >= 2, got {t!r}")
         return self.full ^ self._deeper[min(t - 1, self.n + 1)]
 
     def __len__(self) -> int:
@@ -490,8 +492,8 @@ def truncated_subforest(forest: Forest, t: int) -> Subforest:
 
 def generating_subforest(i: int, forest: Forest) -> Subforest:
     """Classes with Xi at value 1; the i-th free generator of the algebra."""
-    if not 1 <= i <= forest.n:
-        raise ValueError(f"variable index {i} out of range 1..{forest.n}")
+    if type(i) is not int or not 1 <= i <= forest.n:  # bool too: True is not X1
+        raise ValueError(f"variable index {i!r} out of range 1..{forest.n}")
     return Subforest._from_mask(forest, forest.generators[i - 1])
 
 

@@ -1,17 +1,20 @@
 """Formulas of propositional Goedel logic: AST, parser, printer, evaluation.
 
-Connectives: ~ (negation), & (min), | (max), -> (residuated implication),
-constants 0/bot and 1/top.  Two derived connectives are kept as AST nodes so
-formulas print the way they were written:
+Connectives: & (min), | (max), -> (residuated implication), constants 0/bot
+and 1/top.  Three derived connectives are kept as AST nodes so formulas
+print the way they were written:
 
+    ~a        abbreviates a -> 0
     a <-> b   abbreviates (a -> b) & (b -> a)
     a <| b    abbreviates (b -> a) -> b, which takes value 1 exactly when
               the value of a is strictly below that of b, or both are 1
 
 All truth values are exact rationals in [0, 1]; evaluation never produces a
 value outside {0, 1} and the values supplied by the assignment.  Evaluation
-runs a formula's straight-line program (`program`, `run`), which other
-algebras, such as the forest's masks, run with their own operations.
+runs a formula's straight-line program (`program`, `run`) in a Goedel
+algebra given by its bot, top, meet, join and residuum; `run` builds the
+three abbreviations from those, once, for every algebra: the rationals
+here, the forest's masks and the grid oracle's packed levels.
 """
 
 from __future__ import annotations
@@ -163,10 +166,20 @@ def arity(f: Formula) -> int:
 
 
 def run(steps, variables: Sequence, bot, top, ops: dict):
-    """Execute a program in one algebra and return the value of its last
-    step.  Var k takes variables[k], Bot and Top take bot and top, and every
-    other kind applies ops[kind] to its operands' values.  Each value is
-    dropped after its last read, so few stay alive."""
+    """Execute a program in one Goedel algebra and return the value of its
+    last step.  The algebra is bot, top and ops, which maps And, Or and
+    Implies to its meet, join and residuum; run completes ops with ~, <->
+    and <| as their abbreviations over & and ->.  Var k takes variables[k],
+    Bot and Top take bot and top, and every other kind applies ops[kind] to
+    its operands' values.  Each value is dropped after its last read, so
+    few stay alive."""
+    meet, implies = ops[And], ops[Implies]
+    ops = {
+        **ops,
+        Not: lambda a: implies(a, bot),
+        Iff: lambda a, b: meet(implies(a, b), implies(b, a)),
+        Lhd: lambda a, b: implies(implies(b, a), b),
+    }
     values: list = []
     for kind, args, released in steps:
         if kind is Var:
@@ -193,9 +206,9 @@ def run(steps, variables: Sequence, bot, top, ops: dict):
 def eval_formula(f: Formula, values: Sequence[Fraction]) -> Fraction:
     """Value of f when Xi takes values[i-1], under Goedel semantics.
 
-    & is min, | is max, -> is the residuum (1 when left <= right, else the
-    right value), ~a is a -> 0.  The derived connectives evaluate through
-    their expansions.  Runs program(f), so any depth is fine.
+    & is min, | is max and -> is the residuum (1 when left <= right, else
+    the right value); `run` derives ~, <-> and <| from them.  Runs
+    program(f), so any depth is fine.
     """
     from fractions import Fraction  # loaded only where a Fraction is made
 
@@ -204,15 +217,7 @@ def eval_formula(f: Formula, values: Sequence[Fraction]) -> Fraction:
     def residuum(a: Fraction, b: Fraction) -> Fraction:
         return one if a <= b else b
 
-    ops = {
-        Not: lambda a: residuum(a, zero),
-        And: min,
-        Or: max,
-        Implies: residuum,
-        Iff: lambda a, b: min(residuum(a, b), residuum(b, a)),
-        Lhd: lambda a, b: residuum(residuum(b, a), b),
-    }
-    return run(program(f), values, zero, one, ops)
+    return run(program(f), values, zero, one, {And: min, Or: max, Implies: residuum})
 
 
 class ParseError(ValueError):

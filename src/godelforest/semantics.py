@@ -5,7 +5,10 @@ witnesses it takes value 1.  Tautology in the infinite-valued logic (at a
 stated variable bound) means that subforest is the whole forest; tautology in
 the t-valued logic means it covers the height-(t-1) truncation.  An
 exhaustive evaluation over the t-valued grid, on packed level words and with
-no forest code, serves as an independent oracle.
+no forest code, serves as an independent oracle.  Both evaluations hand
+`formulas.run` their own meet, join and residuum; the abbreviations ~, <->
+and <| are `run`'s, shared by both and checked against a node-by-node
+reference evaluator in the tests.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import functools
 import itertools
 from typing import Optional
 
-from .formulas import And, Formula, Iff, Implies, Lhd, Not, Or, eval_formula, program, run
+from .formulas import And, Formula, Iff, Implies, Or, eval_formula, program, run
 from .forest import Forest, Subforest, enumerate_forest
 from .records import _Record
 
@@ -51,7 +54,7 @@ def parse_logic(text: str) -> Logic:
     name = text.strip().lower()
     if name == "ginf":
         return GINF
-    if name.startswith("g") and name[1:].isdigit():
+    if name.startswith("g") and name[1:].isdecimal():
         return Logic(int(name[1:]))
     raise ValueError(f"unknown logic {text!r}; use 'ginf' or 'g<t>' such as 'g4'")
 
@@ -59,21 +62,14 @@ def parse_logic(text: str) -> Logic:
 def formula_forest(f: Formula, forest: Forest) -> Subforest:
     """Subforest of classes where f takes value 1.
 
-    Built compositionally from the generators: meet is `&`, join is `|` and
-    implication is the subforest residuum, by running program(f) on masks.
-    Shared subformula objects are evaluated once, and each mask is dropped
-    after its last use.
+    Built compositionally from the generators by running program(f) on
+    masks, in the algebra whose bottom is the empty mask, top the full one,
+    meet `&`, join `|` and implication the subforest residuum; `run` derives
+    ~, <-> and <| from these.  Shared subformula objects are evaluated once,
+    and each mask is dropped after its last use.
     """
-    full, implies, upset = forest.full, forest.implies, forest.upset
-    ops = {
-        Not: lambda a: full ^ upset(a),
-        And: int.__and__,
-        Or: int.__or__,
-        Implies: implies,
-        Iff: lambda a, b: implies(a, b) & implies(b, a),
-        Lhd: lambda a, b: implies(implies(b, a), b),
-    }
-    return Subforest._from_mask(forest, run(program(f), forest.generators, 0, full, ops))
+    ops = {And: int.__and__, Or: int.__or__, Implies: forest.implies}
+    return Subforest._from_mask(forest, run(program(f), forest.generators, 0, forest.full, ops))
 
 
 def is_tautology(f: Formula, n: int, logic: Logic = GINF) -> bool:
@@ -128,7 +124,8 @@ _GRID_BLOCK = 1 << 12
 
 class _GridFrame:
     """What every block with the same number of points shares, including
-    the connectives as operations on packed levels."""
+    the Goedel algebra of packed levels: meet, join and residuum, field by
+    field, from which `run` derives ~, <-> and <|."""
 
     __slots__ = ("ones", "top", "shift", "stair", "inner", "ops")
 
@@ -146,18 +143,10 @@ class _GridFrame:
             d = ((b | high) - a) & high
             return d - (d >> shift)
 
-        def iff(a: int, b: int) -> int:  # top where a = b, else the smaller one
-            m = le(a, b)
-            v = b ^ ((a ^ b) & m)
-            return v ^ ((v ^ top) & m & le(b, a))
-
         self.ops = {
-            Not: lambda a: top & le(a, 0),  # top where a = 0, else 0
             And: lambda a, b: b ^ ((a ^ b) & le(a, b)),
             Or: lambda a, b: a ^ ((a ^ b) & le(a, b)),
             Implies: lambda a, b: b ^ ((b ^ top) & le(a, b)),  # top where a <= b, else b
-            Iff: iff,
-            Lhd: lambda a, b: top ^ ((top ^ b) & le(b, a)),  # b where b <= a, else top
         }
 
 

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from godelforest import (
+    AssignmentClass,
     Forest,
     GINF,
     And,
@@ -24,6 +25,7 @@ from godelforest import (
     axiomatize_subforest,
     chain_normal_form,
     check_2_overlapping,
+    class_from_json,
     check_ruspini_exact,
     count_2overlap_weak_ruspini,
     count_leaves,
@@ -34,6 +36,7 @@ from godelforest import (
     enumerate_forest,
     formula_forest,
     full_subforest,
+    generating_subforest,
     is_ruspini_leaf,
     is_ruspini_subforest,
     is_tautology,
@@ -47,6 +50,7 @@ from godelforest import (
     ruspini_axiom,
     ruspini_subforest,
     synthesize_partition,
+    truncated_subforest,
     two_overlap_subforest,
 )
 from godelforest.axioms import AXIOM_MAX_N
@@ -256,6 +260,35 @@ def test_ordered_bell_matches_the_stirling_sum():
     assert all(ordered_bell(n) == reference_ordered_bell(n) for n in range(301))
     with pytest.raises(ValueError):
         ordered_bell(-1)
+
+
+# A size that is not an int, bool included, gets one ValueError line, not a
+# TypeError, a float count or the answer for 1.
+@pytest.mark.parametrize("build, message", [
+    (lambda: count_2overlap_weak_ruspini(2.5), "need n >= 1, got 2.5"),
+    (lambda: count_leaves(2.5), "need n >= 1, got 2.5"),
+    (lambda: count_weak_ruspini(2.5), "need n >= 1, got 2.5"),
+    (lambda: ruspini_axiom(2.0), "need n >= 1, got 2.0"),
+    (lambda: overlap_axiom(3.0), "need n >= 1, got 3.0"),
+    (lambda: enumerate_forest(2).truncation(2.5), "a finite-valued logic needs t >= 2, got 2.5"),
+    (lambda: truncated_subforest(enumerate_forest(2), 3.0),
+     "a finite-valued logic needs t >= 2, got 3.0"),
+    (lambda: ordered_bell(True), "need n >= 0, got True"),
+    (lambda: count_leaves(True), "need n >= 1, got True"),
+    (lambda: ruspini_axiom(True), "need n >= 1, got True"),
+    (lambda: overlap_axiom(True), "need n >= 1, got True"),
+    (lambda: generating_subforest(True, enumerate_forest(2)),
+     "variable index True out of range 1..2"),
+    (lambda: AssignmentClass(2.0, (), (), (1, 2)), "variable count 2.0 is not an integer"),
+    (lambda: class_from_json({"zero": [], "mid": [], "one": [1]}, True),
+     "variable count True is not an integer"),
+], ids=["overlap2-float", "leaves-float", "weak-ruspini-float", "rho-float", "tau-float",
+        "truncation-float", "truncated-subforest-float", "bell-bool", "leaves-bool", "rho-bool",
+        "tau-bool", "generator-bool", "class-float", "class-json-bool"])
+def test_sizes_that_are_not_ints_get_one_value_error_line(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_weak_ruspini_count_matches_exhaustive_enumeration():

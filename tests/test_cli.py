@@ -57,6 +57,14 @@ def test_taut_linearity_instances(capsys):
     assert (code, out.strip()) == (0, "tautology")
 
 
+def test_logic_names_read_decimal_digits_only(capsys):
+    # int() cannot read the superscript two; the Arabic-Indic two it reads.
+    assert run(capsys, "taut", "--n", "2", "--logic", "g\u00b2", "X1") == (
+        1, "", "error: unknown logic 'g\u00b2'; use 'ginf' or 'g<t>' such as 'g4'\n")
+    assert run(capsys, "taut", "--n", "1", "--logic", "g\u0662", "X1 | ~X1") == (
+        0, "tautology\n", "")
+
+
 def test_taut_oracle_flag(capsys):
     code, out, _ = run(capsys, "taut", "--n", "2", "--logic", "g3", "--oracle",
                        "(X1 -> X2) | (X2 -> X1)")

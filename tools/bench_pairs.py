@@ -17,9 +17,12 @@ perfbench/baseline.json uses), the number of pairs the change wins (ties
 count for neither side), and whether the medians differ by more than the
 parent's interquartile range.  Each side's request counts (`attempted`) are
 summarised the same way, because perfbench's `peak_rss_mb` grows with the
-number of requests a run completes.  With --trace-seed, one traced run per side
-and workload adds the per-layer metrics.  The file is rewritten after every
-run, so an interrupted run keeps what it measured.
+number of requests a run completes: perfbench keeps every output until the
+run ends.  So each side's `peak_rss_mb` is also fitted to `attempted` by
+least squares, as the KB each request adds and the MB at no request, which
+tells the program's memory apart from the outputs kept.  With --trace-seed,
+one traced run per side and workload adds the per-layer metrics.  The file
+is rewritten after every run, so an interrupted run keeps what it measured.
 """
 
 from __future__ import annotations
@@ -66,6 +69,17 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
         "ratio_of_medians": c["median"] / p["median"] if p["median"] else None,
         "median_gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["q3"] - p["q1"],
     }
+
+
+def rss_fit(runs: list[dict]) -> dict | None:
+    """Least-squares line of peak_rss_mb against attempted (None when every
+    run attempted the same count); 1 MB is 1024 KB, as perfbench reads it."""
+    try:
+        fit = statistics.linear_regression([r["attempted"] for r in runs],
+                                           [r["peak_rss_mb"] for r in runs])
+    except statistics.StatisticsError:
+        return None
+    return {"kb_per_request": fit.slope * 1024, "intercept_mb": fit.intercept}
 
 
 def commit_of(checkout: str) -> str | None:
@@ -131,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         entry["attempted"] = compare([r["attempted"] for r in runs["parent"]],
                                      [r["attempted"] for r in runs["change"]], "higher")
+        entry["peak_rss_vs_attempted"] = {side: rss_fit(runs[side]) for side in SIDES}
         if args.trace_seed is not None:
             entry[f"traced_seed{args.trace_seed}"] = {
                 side: {k: v["value"] for k, v in run_once(
