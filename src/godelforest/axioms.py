@@ -3,10 +3,10 @@
 Every class has a chain normal form, a conjunction tracing its value chain
 with <| for strict steps and <-> for ties, whose value-1 set is exactly the
 class's downset.  Disjoining the normal forms of a subforest's maximal
-elements axiomatizes it; applying that to the realized forest of a partition
-yields the partition's axiom.  In the other direction, any Ruspini subforest
-is realized by an explicit step-function partition whose values at each
-interval sum to 1.
+elements axiomatizes it; disjoining those of a partition's maximal realized
+classes yields the partition's axiom, with no forest built.  In the other
+direction, any Ruspini subforest is realized by an explicit step-function
+partition whose values at each interval sum to 1.
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ def chain_normal_form(c: AssignmentClass) -> Formula:
     return conjunction(terms)
 
 
+def _axiom_of(maximal: Sequence[AssignmentClass]) -> Formula:
+    """Disjunction of the chain normal forms of the given classes; with the
+    maximal elements of a downset, its value-1 set is that downset."""
+    return disjunction([chain_normal_form(c) for c in maximal])
+
+
 def axiomatize_subforest(sub: Subforest) -> Formula:
     """Disjunction of the chain normal forms of the maximal elements; its
     value-1 set is the subforest itself.
@@ -66,18 +72,19 @@ def axiomatize_subforest(sub: Subforest) -> Formula:
             stacklevel=2,
         )
         return Bot()
-    return disjunction([chain_normal_form(c) for c in maximal])
+    return _axiom_of(maximal)
 
 
 def axiomatize_partition(p: Partition) -> Formula:
     """The partition's axiom: everything the logic can say about p.
 
     Unique up to provable equivalence among formulas with the same value-1
-    set.
+    set.  Built from the maximal realized classes alone, so it takes any n.
     """
-    from .partitions import partition_forest
+    from .forest import _maximal
+    from .partitions import realized_classes
 
-    return axiomatize_subforest(partition_forest(p))
+    return _axiom_of(_maximal(realized_classes(p)))
 
 
 #: Largest n per stock axiom (rho: `ruspini_axiom`, tau: `overlap_axiom`)
@@ -224,15 +231,16 @@ def analyze(p: Partition) -> AnalysisReport:
     4-valued logic proves axiom -> overlap axiom.  Combined: both at once,
     with the proof check run entirely inside the 4-valued logic.
     """
-    from .forest import (downset, enumerate_forest, full_subforest, is_ruspini_leaf,
+    from .forest import (_maximal, downset, enumerate_forest, full_subforest, is_ruspini_leaf,
                          is_ruspini_subforest, leq, truncated_subforest, two_overlap_subforest)
     from .partitions import check_2_overlapping, check_ruspini_exact, realized_classes
     from .semantics import formula_forest
 
     forest = enumerate_forest(p.n)
     realized = realized_classes(p)
+    leaves = _maximal(realized)
+    alpha = _axiom_of(leaves)
     fp = downset(forest, realized)
-    alpha = axiomatize_subforest(fp)
     full, g4 = full_subforest(forest), truncated_subforest(forest, 4)
 
     ruspini_direct = all(
@@ -240,9 +248,9 @@ def analyze(p: Partition) -> AnalysisReport:
     )
     ruspini_forest_check = is_ruspini_subforest(fp)
     f_alpha = formula_forest(alpha, forest)
-    f_rhs = formula_forest(disjunction(
-        [chain_normal_form(l) for l in f_alpha.leaves() if is_ruspini_leaf(l)]
-    ), forest)
+    f_rhs = formula_forest(
+        _axiom_of([l for l in f_alpha.leaves() if is_ruspini_leaf(l)]), forest
+    )
     f_iff = f_alpha.implies(f_rhs).meet(f_rhs.implies(f_alpha))
     ruspini_proof = full.issubset(f_iff)
 
@@ -257,7 +265,7 @@ def analyze(p: Partition) -> AnalysisReport:
 
     return AnalysisReport(
         n=p.n,
-        realized_leaves=fp.leaves(),
+        realized_leaves=leaves,
         is_exact_ruspini=check_ruspini_exact(p),
         is_weak_ruspini=ruspini_forest_check,
         is_2_overlapping=overlap_direct,

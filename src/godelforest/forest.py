@@ -126,9 +126,10 @@ def class_of_values(values: Sequence[Fraction | int]) -> AssignmentClass:
         if not 0 <= v <= 1:
             raise ValueError(f"value for X{i} is outside [0, 1]: {v}")
         levels.setdefault(v, []).append(i)
+    # Each block lists its variables in increasing order, and no two share one.
     zero, one = tuple(levels.pop(0, ())), tuple(levels.pop(1, ()))
     mid = tuple(tuple(levels[v]) for v in sorted(levels))
-    return AssignmentClass(len(values), zero, mid, one)
+    return _class(len(values), zero, mid, one)
 
 
 def leq(a: AssignmentClass, b: AssignmentClass) -> bool:
@@ -138,6 +139,22 @@ def leq(a: AssignmentClass, b: AssignmentClass) -> bool:
     if a.zero != b.zero or len(a.mid) > len(b.mid):
         return False
     return a.mid == b.mid[: len(a.mid)]
+
+
+def _maximal(classes: Iterable[AssignmentClass]) -> tuple[AssignmentClass, ...]:
+    """The given classes that are no given class's proper ancestor, in
+    `class_key` order: the leaves of their downset, as `Subforest.leaves()`
+    lists them, with no forest built.
+
+    Each class marks its parent chain, which stops at an ancestor already
+    marked: that one's own ancestors are marked too."""
+    given, inner = set(classes), set()
+    for c in given:
+        up = c.parent()
+        while up is not None and up not in inner:
+            inner.add(up)
+            up = up.parent()
+    return tuple(sorted(given - inner, key=class_key))
 
 
 def is_ruspini_leaf(c: AssignmentClass) -> bool:

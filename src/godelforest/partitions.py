@@ -18,10 +18,11 @@ from typing import Union
 from .forest import (
     AssignmentClass,
     Subforest,
+    _maximal,
     class_of_values,
     downset,
     enumerate_forest,
-    is_ruspini_subforest,
+    is_ruspini_leaf,
 )
 from .records import _Record
 
@@ -279,5 +280,8 @@ def check_2_overlapping(p: Partition) -> bool:
 
 def is_weak_ruspini(p: Partition) -> bool:
     """The logic-expressible relaxation of the sum-1 condition: the realized
-    forest must be a Ruspini subforest."""
-    return is_ruspini_subforest(partition_forest(p))
+    forest must be a Ruspini subforest.
+
+    The Ruspini forest is a downset holding its own leaves, so that is every
+    maximal realized class being a Ruspini leaf; no forest is built."""
+    return all(is_ruspini_leaf(c) for c in _maximal(realized_classes(p)))

@@ -39,6 +39,7 @@ from godelforest import (
     Top,
     Var,
     as_fraction,
+    class_key,
     class_of_values,
     conjunction,
     disjunction,
@@ -47,6 +48,7 @@ from godelforest import (
     eval_formula,
     formula_forest,
     is_ruspini_leaf,
+    leq,
     ruspini_subforest,
 )
 from godelforest.forest import _class
@@ -165,6 +167,43 @@ def random_partition(rng: random.Random, n: int) -> Partition:
         points = tuple((Fraction(x, 6), Fraction(rng.randint(0, 4), 4)) for x in xs)
         sets.append(PiecewiseLinearFuzzySet(f"f{i}", points))
     return Partition(tuple(sets))
+
+
+def random_exact_partition(rng: random.Random, n: int) -> Partition:
+    """n sets summing to exactly 1 everywhere: at each abscissa of a random
+    grid of sixths (some of them jumps) the values are quarters that add up
+    to 1, joined linearly."""
+    inner = sorted(rng.sample(range(1, 6), rng.randint(0, 3)))
+    xs = [0] + [x for x in inner for _ in range(rng.choice((1, 1, 2)))] + [6]
+    columns = []
+    for _ in xs:
+        cuts = sorted(rng.randint(0, 4) for _ in range(n - 1))
+        columns.append([b - a for a, b in itertools.pairwise([0, *cuts, 4])])
+    return Partition(tuple(
+        PiecewiseLinearFuzzySet(f"f{i + 1}", tuple(
+            (Fraction(x, 6), Fraction(col[i], 4)) for x, col in zip(xs, columns)))
+        for i in range(n)
+    ))
+
+
+def triangular_partition(k: int) -> Partition:
+    """k >= 2 uniform triangular sets: the i-th peaks at (i - 1)/(k - 1) and
+    falls linearly to 0 at its neighbours' peaks."""
+    sets = []
+    for i in range(k):
+        xs = sorted({Fraction(max(0, min(j, k - 1)), k - 1) for j in (0, i - 1, i, i + 1, k - 1)})
+        points = tuple((x, max(Fraction(0), 1 - abs(x * (k - 1) - i))) for x in xs)
+        sets.append(PiecewiseLinearFuzzySet(f"f{i + 1}", points))
+    return Partition(tuple(sets))
+
+
+def reference_maximal(classes) -> tuple[AssignmentClass, ...]:
+    """The classes below no other given class, by comparing every pair
+    with `leq`, in `class_key` order."""
+    given = set(classes)
+    return tuple(sorted(
+        (c for c in given if not any(c != d and leq(c, d) for d in given)), key=class_key
+    ))
 
 
 def grid_classes(n: int, t: int) -> frozenset[AssignmentClass]:

@@ -47,6 +47,7 @@ from godelforest import (
     partition_forest,
     proves_equiv,
     proves_implies,
+    realized_classes,
     ruspini_axiom,
     ruspini_subforest,
     synthesize_partition,
@@ -58,11 +59,14 @@ from godelforest.counts import COUNT_MAX_N
 from helpers import (
     cls,
     fr,
+    random_exact_partition,
     random_partition,
     random_ruspini_subforest,
     reference_forest,
+    reference_maximal,
     reference_ordered_bell,
     stirling2,
+    triangular_partition,
 )
 
 
@@ -130,6 +134,35 @@ def test_axiomatize_partition_matches_partition_forest():
         formula_forest(axiomatize_partition(p), forest).members
         == partition_forest(p).members
     )
+
+
+def test_axiom_and_weak_verdict_build_no_forest(monkeypatch):
+    from godelforest import forest, partitions
+
+    rng = random.Random(16)
+    cases = [make(rng, n) for n in range(1, 7) for make in (random_partition,
+                                                            random_exact_partition)]
+    # The forest route, before any forest is refused.
+    expected = []
+    for p in cases:
+        fp = partition_forest(p)
+        expected.append((axiomatize_subforest(fp), is_ruspini_subforest(fp)))
+
+    def refuse(*args):
+        raise AssertionError("a forest was built")
+
+    for module in (forest, partitions):
+        monkeypatch.setattr(module, "enumerate_forest", refuse)
+    monkeypatch.setattr(forest.Forest, "__init__", refuse)
+    for p, (axiom, weak) in zip(cases, expected):
+        assert axiomatize_partition(p) == axiom
+        assert is_weak_ruspini(p) == weak
+    for k in (9, 12, 20):
+        p = triangular_partition(k)
+        assert is_weak_ruspini(p)
+        assert axiomatize_partition(p) == disjunction(
+            [chain_normal_form(c) for c in reference_maximal(realized_classes(p))]
+        )
 
 
 def test_godel_equivalent_partitions_share_axioms():
@@ -471,8 +504,10 @@ def test_analyze_proof_entries_equal_the_decision_procedures():
         else:
             p = synthesize_partition(random_ruspini_subforest(rng, enumerate_forest(n)), n)
         report = analyze(p)
+        fp = partition_forest(p)  # the maxima analyze reads without a forest
+        assert (report.realized_leaves, report.axiom) == (fp.leaves(), axiomatize_subforest(fp))
         alpha, tau = report.axiom, overlap_axiom(n)
-        rhs = disjunction([chain_normal_form(c) for c in
+        rhs =disjunction([chain_normal_form(c) for c in
                            formula_forest(alpha, enumerate_forest(n)).leaves()
                            if is_ruspini_leaf(c)])
         expected = (

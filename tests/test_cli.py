@@ -6,20 +6,28 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from godelforest import (
+    axiomatize_partition,
+    class_of_values,
     count_leaves,
     enumerate_forest,
+    eval_formula,
+    format_formula,
+    leq,
     parse_formula,
     partition_from_json,
+    partition_to_json,
+    realized_classes,
     ruspini_subforest,
     subforest_to_dot,
     subforest_to_json,
 )
 from godelforest.cli import main
-from helpers import reference_forest
+from helpers import reference_forest, triangular_partition
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 SRC = DATA.parent / "src"
@@ -360,6 +368,42 @@ def test_synthesize_and_analyze_at_n8_build_no_forest_of_classes(tmp_path):
         assert elapsed < 3, (argv, elapsed)
     report = json.loads(proc.stdout)
     assert report["n"] == 8 and report["weak_ruspini"] and len(report["realized_leaves"]) == 2
+
+
+def test_axiomatize_twelve_triangular_sets(capsys):
+    path = DATA / "partitions" / "triangular_twelve.json"
+    p = partition_from_json(json.loads(path.read_text(encoding="utf-8")))
+    assert p == triangular_partition(12)
+    code, out, err = run(capsys, "axiomatize", str(path))
+    assert (code, err) == (0, "")
+    axiom = parse_formula(out)
+    assert format_formula(axiom) + "\n" == out
+    assert axiom == axiomatize_partition(p)
+    realized = realized_classes(p)
+    assert all(eval_formula(axiom, c.representative()) == 1 for c in realized)
+    # X1 and X3 positive at once, every set at 1, every set at 1/2: each
+    # class lies below no realized class, and the axiom is below 1 there.
+    for values in ([1, 0, 1] + [0] * 9, [1] * 12, [Fraction(1, 2)] * 12):
+        outside = class_of_values(values)
+        assert not any(leq(outside, c) for c in realized)
+        assert eval_formula(axiom, outside.representative()) < 1
+    assert run(capsys, "analyze", str(path)) == (
+        1, "", "error: forest enumeration supports 1 <= n <= 8, got 12\n"
+    )
+
+
+@pytest.mark.parametrize("k", [9, 12, 20])
+def test_axiomatize_past_n8_answers_within_a_second(tmp_path, k):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(partition_to_json(triangular_partition(k))), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "godelforest.cli", "axiomatize", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert elapsed < 1, elapsed
+    assert parse_formula(proc.stdout) == axiomatize_partition(triangular_partition(k))
 
 
 def test_taut_deep_negation_chain(capsys):

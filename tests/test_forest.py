@@ -22,6 +22,7 @@ from godelforest import (
     is_ruspini_subforest,
     leq,
     parse_formula,
+    realized_classes,
     ruspini_subforest,
     truncated_subforest,
     two_overlap_subforest,
@@ -29,12 +30,14 @@ from godelforest import (
     Var,
     class_key,
 )
+from godelforest.forest import _maximal
 from helpers import (
     cls,
     downward_chain,
     fr,
     grid_classes,
     literal_leq,
+    random_partition,
     random_subforest,
     random_ruspini_subforest,
     reference_forest,
@@ -42,6 +45,8 @@ from helpers import (
     reference_in_ruspini_forest,
     reference_in_two_overlap_forest,
     reference_is_ruspini_subforest,
+    reference_maximal,
+    triangular_partition,
     walked,
 )
 
@@ -643,3 +648,46 @@ def test_class_of_values_representative_fixpoint(values):
         assert rep[i - 1] == 1
     for block in c.mid:
         assert len({rep[i - 1] for i in block}) == 1
+
+
+def test_class_of_values_builds_canonical_blocks():
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        c = class_of_values([Fraction(rng.randint(0, 4), 4) for _ in range(n)])
+        assert c == AssignmentClass(n, c.zero, c.mid, c.one)
+        assert all(list(b) == sorted(b) for b in (c.zero, *c.mid, c.one))
+
+
+def test_maximal_matches_the_downset_leaves_of_realized_classes():
+    rng = random.Random(16)
+    for n in range(1, 6):
+        forest = enumerate_forest(n)
+        for _ in range(40):
+            realized = realized_classes(random_partition(rng, n))
+            assert _maximal(realized) == downset(forest, realized).leaves()
+
+
+def test_maximal_matches_the_leaves_of_random_subforests():
+    rng = random.Random(17)
+    for n in range(1, 6):
+        forest = enumerate_forest(n)
+        for _ in range(20):
+            sub = random_subforest(rng, forest)
+            assert _maximal(sub.members) == sub.leaves()
+            seeds = rng.sample(sorted(sub.members, key=class_key), len(sub) // 2)
+            assert _maximal(seeds) == downset(forest, seeds).leaves()
+
+
+@pytest.mark.parametrize("k", [9, 12, 20])
+def test_maximal_matches_the_pairwise_reference_past_n8(k):
+    realized = realized_classes(triangular_partition(k))
+    assert _maximal(realized) == reference_maximal(realized)
+    # Each uniform triangular class is maximal; their ancestors are not.
+    chains = {a for c in realized for a in downward_chain(c)}
+    assert len(chains) > len(realized)
+    assert _maximal(chains) == reference_maximal(chains) == _maximal(realized)
+    rng = random.Random(k)
+    for _ in range(3):
+        realized = realized_classes(random_partition(rng, k))
+        assert _maximal(realized) == reference_maximal(realized)

@@ -15,6 +15,7 @@ from godelforest import (
     class_of_values,
     critical_points,
     enumerate_forest,
+    is_ruspini_subforest,
     is_weak_ruspini,
     partition_forest,
     partition_from_json,
@@ -22,7 +23,7 @@ from godelforest import (
     realized_classes,
     two_overlap_subforest,
 )
-from helpers import cls, fr, walked
+from helpers import cls, fr, random_exact_partition, random_partition, walked
 
 
 def pl(name, *pts):
@@ -268,6 +269,30 @@ def test_weak_ruspini_examples(complementary_pair):
     assert is_weak_ruspini(complementary_pair)
     assert not is_weak_ruspini(Partition((constant("f1", "1/2"),)))
     assert not is_weak_ruspini(Partition((constant("f1", "1"), constant("f2", "1"))))
+
+
+def test_exact_ruspini_implies_weak_ruspini_on_random_partitions():
+    rng = random.Random(16)
+    exact = 0
+    for n in range(1, 7):
+        for make in (random_partition, random_exact_partition):
+            for _ in range(15):
+                p = make(rng, n)
+                if check_ruspini_exact(p):
+                    exact += 1
+                    assert is_weak_ruspini(p)
+    assert exact >= 90
+
+
+def test_weak_ruspini_without_a_forest_matches_the_forest_test():
+    rng = random.Random(17)
+    verdicts = []
+    for n in range(1, 7):
+        for _ in range(25):
+            p = random_partition(rng, n)
+            verdicts.append(is_weak_ruspini(p))
+            assert verdicts[-1] == is_ruspini_subforest(partition_forest(p))
+    assert set(verdicts) == {False, True}
 
 
 def test_json_roundtrip(complementary_pair):
