@@ -14,7 +14,9 @@ value outside {0, 1} and the values supplied by the assignment.  Evaluation
 runs a formula's straight-line program (`program`, `run`) in a Goedel
 algebra given by its bot, top, meet, join and residuum; `run` builds the
 three abbreviations from those, once, for every algebra: the rationals
-here, the forest's masks and the grid oracle's packed levels.
+here, the forest's masks and the grid oracle's packed levels.  A program
+has one step per distinct subformula, and a parse shares equal subformulas,
+so each is evaluated once however often the text or a builder repeats it.
 """
 
 from __future__ import annotations
@@ -110,41 +112,51 @@ _NODE = {text: node for text, node, _ in _SYNTAX}
 _TEXT = {node: text for text, node, _ in _SYNTAX}
 _PREC = {key: prec for text, node, prec in _SYNTAX for key in (text, node)}
 _BINARY_KINDS = tuple(node for _, node, prec in _SYNTAX if prec < 4)
+#: Each kind's shape in a program: its number of subformula operands.
+_SHAPE = {node: min(5 - prec, 2) for _, node, prec in _SYNTAX}
 
 
 def program(f: Formula) -> list[tuple[type, tuple[int, ...], list[int]]]:
     """f as straight-line code: one (kind, operands, released) step per
-    distinct node object, each after its operands, left subtrees before right
+    distinct subformula, each after its operands, left subtrees before right
     ones.  Operands are 0-based variable numbers for Var and earlier step
     numbers otherwise; `released` lists the steps whose value is last read
-    here.  One iterative pass over f, so any depth is fine."""
+    here.  A step is numbered by its value, (kind, operands), so equal
+    subformulas share one step however they were built; a node object met
+    again is not walked again.  One iterative pass over f, so any depth is
+    fine."""
     steps: list[tuple[type, tuple[int, ...], list[int]]] = []
     step: dict[int, int] = {}  # id()s: hashing a frozen node would recurse into it
+    numbered: dict[tuple, int] = {}  # (kind, operands): flat, so hashing is cheap
     stack: list[tuple[Formula, bool]] = [(f, False)]
     while stack:
         node, expanded = stack.pop()
-        key = id(node)
-        if key in step:
+        if id(node) in step:
             continue
         kind = type(node)
-        if kind is Var:
-            args = (node.index - 1,)
-        elif kind in _BINARY_KINDS:
+        shape = _SHAPE.get(kind)
+        if shape == 2:
             if not expanded:
                 stack += ((node, True), (node.right, False), (node.left, False))
                 continue
             args = (step[id(node.left)], step[id(node.right)])
-        elif kind is Not:
+        elif shape == 1:
             if not expanded:
                 stack += ((node, True), (node.child, False))
                 continue
             args = (step[id(node.child)],)
-        elif kind is Bot or kind is Top:
+        elif kind is Var:
+            args = (node.index - 1,)
+        elif shape == 0:
             args = ()
         else:
             raise TypeError(f"not a formula: {node!r}")
-        step[key] = len(steps)
-        steps.append((kind, args, []))
+        key = (kind, args)
+        s = numbered.get(key)
+        if s is None:
+            s = numbered[key] = len(steps)
+            steps.append((kind, args, []))
+        step[id(node)] = s
     # A step's last reader is the first one met walking backwards.
     read: set[int] = set()
     for kind, args, released in reversed(steps):
@@ -280,11 +292,15 @@ def parse_formula(text: str) -> Formula:
     then &, then |, then the arrows ->, <->, <| at equal precedence.  Arrows
     associate to the right and may not be mixed in one chain without
     parentheses.  One loop over the tokens, so any nesting depth is fine.
+    Equal subformulas of the text come out as one shared object.
     """
     # The open parentheses' frames.  A frame is the arrow chain so far, as
     # (left operand, arrow, position) triples, the disjunction and the
     # conjunction being built, and the number of '~' waiting for an operand.
     frames: list[tuple[list, Formula | None, Formula | None, int]] = []
+    # Every node built, by (kind, operand ids), or (kind, index) for a leaf.
+    # Operands come from this table, so their ids stay valid while it lives.
+    nodes: dict[tuple, Formula] = {}
     chain, disj, conj, nots = [], None, None, 0
     operand_next = True
     for kind, pos, index in _tokenize(text):
@@ -298,12 +314,18 @@ def parse_formula(text: str) -> Formula:
                 continue
             if _PREC.get(kind) != 5:
                 raise ParseError("expected a variable, constant, '~' or '('", pos)
-            operand = Var(index) if kind == "X" else _NODE[kind]()
+            node = _NODE[kind]
+            key = (node, index)  # index is 0 for the constants
+            operand = nodes.get(key) or nodes.setdefault(key, node(index) if index else node())
         else:
             if kind == "&":
                 operand_next = True
                 continue
-            disj = conj if disj is None else Or(disj, conj)
+            if disj is None:
+                disj = conj
+            else:
+                key = (Or, id(disj), id(conj))
+                disj = nodes.get(key) or nodes.setdefault(key, Or(disj, conj))
             conj = None
             if kind == "|":
                 operand_next = True
@@ -320,15 +342,22 @@ def parse_formula(text: str) -> Formula:
                         "mixing '->', '<->', '<|' in one chain requires parentheses", at
                     )
             for left, arrow, _ in reversed(chain):
-                operand = _NODE[arrow](left, operand)
+                node = _NODE[arrow]
+                key = (node, id(left), id(operand))
+                operand = nodes.get(key) or nodes.setdefault(key, node(left, operand))
             if kind != (")" if frames else "end"):
                 raise ParseError("expected ')'" if frames else "unexpected trailing input", pos)
             if kind == "end":
                 return operand
             chain, disj, conj, nots = frames.pop()
         for _ in range(nots):
-            operand = Not(operand)
-        conj = operand if conj is None else And(conj, operand)
+            key = (Not, id(operand))
+            operand = nodes.get(key) or nodes.setdefault(key, Not(operand))
+        if conj is None:
+            conj = operand
+        else:
+            key = (And, id(conj), id(operand))
+            conj = nodes.get(key) or nodes.setdefault(key, And(conj, operand))
         nots, operand_next = 0, False
 
 

@@ -65,8 +65,8 @@ def formula_forest(f: Formula, forest: Forest) -> Subforest:
     Built compositionally from the generators by running program(f) on
     masks, in the algebra whose bottom is the empty mask, top the full one,
     meet `&`, join `|` and implication the subforest residuum; `run` derives
-    ~, <-> and <| from these.  Shared subformula objects are evaluated once,
-    and each mask is dropped after its last use.
+    ~, <-> and <| from these.  Equal subformulas are evaluated once, and
+    each mask is dropped after its last use.
     """
     ops = {And: int.__and__, Or: int.__or__, Implies: forest.implies}
     return Subforest._from_mask(forest, run(program(f), forest.generators, 0, forest.full, ops))

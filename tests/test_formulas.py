@@ -30,6 +30,7 @@ from godelforest import (
 )
 from godelforest.formulas import program
 from helpers import (
+    _reference_postorder,
     expand_derived,
     random_formula,
     reference_format_formula,
@@ -150,17 +151,26 @@ def test_program_lists_each_node_once_after_its_operands():
         (Or, (4, 2), [4]),
         (And, (2, 5), [2, 5]),
     ]
-    # One object in both operands is one step, read and released once; two
-    # equal objects are two steps.
+    # One object in both operands is one step, read and released once; so
+    # are two equal objects.
     x = Var(1)
     assert program(Lhd(x, x)) == [(Var, (0,), []), (Lhd, (0, 0), [0])]
-    assert program(Iff(Var(2), Var(2))) == [
-        (Var, (1,), []), (Var, (1,), []), (Iff, (0, 1), [0, 1]),
-    ]
+    assert program(Iff(Var(2), Var(2))) == [(Var, (1,), []), (Iff, (0, 0), [0])]
     assert program(Top()) == [(Top, (), [])]
     assert len(program(parse_formula("~" * 3000 + "X1"))) == 3001
     with pytest.raises(TypeError):
         program(And(Var(1), "X2"))
+
+
+def test_program_step_counts_of_repetitive_formulas():
+    # Counts, not timings: each distinct subformula is one step, whether it
+    # was written once or built as many equal objects.
+    assert len(program(ruspini_axiom(8))) == 143
+    assert len(program(overlap_axiom(8))) == 196
+    # X1, X2, the two implications and 1,099 disjunctions.
+    text = " | ".join(["(X1 -> X2)", "(X2 -> X1)"] * 550)
+    assert len(program(parse_formula(text))) == 1103
+    assert len(program(reference_parse_formula(text))) == 1103
 
 
 def test_format_examples():
@@ -282,6 +292,35 @@ def test_printer_matches_the_recursive_reference():
     formulas += [axiom(n) for n in range(1, 8) for axiom in (ruspini_axiom, overlap_axiom)]
     for f in formulas:
         assert format_formula(f) == reference_format_formula(f)
+
+
+def _texts_with_repeats(rng, count):
+    """Rendered random formulas over up to four variables, some of them
+    with a random piece planted more than once."""
+    texts = ["(X1 -> X2) | (X2 -> X1)", "~X1 & ~X1 | ~~X1", "(X1 <-> X2) -> (X1 <-> X2)",
+             "X1 & X1 & X1 | X1 & X1", "(0 | 1) & (0 | 1) <| ~(0 | 1)"]
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        a, b = (format_formula(random_formula(rng, n, rng.randint(0, 5))) for _ in "ab")
+        texts.append(a)
+        texts.append(f"({a}) & ({b}) | ({a}) -> ~({b}) | ({a})")
+    return texts
+
+
+def test_parse_shares_equal_subformulas_and_matches_the_reference():
+    rng = random.Random(17)
+    shared = 0
+    for text in _texts_with_repeats(rng, 300):
+        f = parse_formula(text)
+        assert f == reference_parse_formula(text), text
+        assert format_formula(f) == reference_format_formula(reference_parse_formula(text))
+        nodes = _reference_postorder(f)
+        # Two distinct objects that are equal would collapse in the set.
+        assert len(set(nodes)) == len(nodes), text
+        shared += len(_reference_postorder(reference_parse_formula(text))) > len(nodes)
+    assert shared > 300
+    f = parse_formula("(X1 -> X2) | (X2 -> X1) | (X1 -> X2)")
+    assert f.left.left is f.right and f.left.left.left is f.left.right.right
 
 
 # Deep formulas are compared by text or by value-1 mask: dataclass equality

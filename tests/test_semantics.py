@@ -9,16 +9,19 @@ from godelforest import (
     GINF,
     And,
     Bot,
+    Iff,
     Implies,
     Logic,
     Not,
     Or,
     Top,
     Var,
+    axiomatize_partition,
     disjunction,
     empty_subforest,
     enumerate_forest,
     eval_formula,
+    format_formula,
     formula_forest,
     grid_tautology_oracle,
     is_tautology,
@@ -31,11 +34,13 @@ from godelforest import (
     truncated_subforest,
     Subforest,
 )
+from godelforest.formulas import program
 from godelforest.semantics import _GRID_BLOCK, _grid_blocks
 from helpers import (
     lin_instance,
     random_dag,
     random_formula,
+    random_partition,
     random_witness,
     reference_eval_formula,
     reference_forest,
@@ -339,6 +344,46 @@ def test_evaluators_match_the_reference_on_shared_subformulas(n):
                 assert verdict == reference_grid_oracle(h, n, t), (h, t)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_evaluators_match_the_reference_on_equal_distinct_objects(n):
+    # Formulas whose equal subformulas are distinct objects, so that their
+    # programs share steps by value: the stock axioms, partition axioms, and
+    # f <-> g where g is a separate parse of f's text.  The references walk
+    # every object on its own.
+    rng = random.Random(3000 + n)
+    forest = enumerate_forest(n)
+    points = [tuple(Fraction(rng.randrange(5), 4) for _ in range(n)) for _ in range(6)]
+    formulas = [ruspini_axiom(n), overlap_axiom(n)]
+    formulas += [axiomatize_partition(random_partition(rng, n)) for _ in range(3)]
+    for _ in range(6):
+        f = random_formula(rng, n, 5)
+        g = parse_formula(format_formula(f))
+        formulas.append(Iff(f, g))
+        assert len(program(Iff(f, g))) == len(program(f)) + 1
+    verdicts = set()
+    for h in formulas:
+        for values in points:
+            assert eval_formula(h, values) == reference_eval_formula(h, values), (h, values)
+        assert formula_forest(h, forest).members == reference_formula_forest(h, forest), h
+        for t in (2, 3, 4):
+            verdict = grid_tautology_oracle(h, n, t)
+            assert verdict == reference_grid_oracle(h, n, t), (h, t)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_converse_implications_stay_two_steps():
+    x1, x2 = Var(1), Var(2)
+    for f in (parse_formula("(X1 -> X2) | (X2 -> X1)"),
+              Or(Implies(Var(1), Var(2)), Implies(Var(2), Var(1)))):
+        assert program(f) == [
+            (Var, (0,), []), (Var, (1,), []), (Implies, (0, 1), []),
+            (Implies, (1, 0), [1, 0]), (Or, (2, 3), [2, 3]),
+        ]
+    assert is_tautology(Or(Implies(x1, x2), Implies(x2, x1)), 2)
+    assert not is_tautology(And(Implies(x1, x2), Implies(x2, x1)), 2)
 
 
 def test_formula_forest_keeps_few_masks_alive():

@@ -20,9 +20,17 @@ summarised the same way, because perfbench's `peak_rss_mb` grows with the
 number of requests a run completes: perfbench keeps every output until the
 run ends.  So each side's `peak_rss_mb` is also fitted to `attempted` by
 least squares, as the KB each request adds and the MB at no request, which
-tells the program's memory apart from the outputs kept.  With --trace-seed,
-one traced run per side and workload adds the per-layer metrics.  The file
-is rewritten after every run, so an interrupted run keeps what it measured.
+tells the program's memory apart from the outputs kept.  From the parent's
+fit the output also gives `rss_headroom_pct` per workload: the throughput
+gain, in percent, at which the fitted `peak_rss_mb` (KB per request times
+the parent's median `attempted`, plus the intercept) reaches the parent's
+median `peak_rss_mb` times one plus its bound in BENCHMARK.json; a change
+that speeds a workload up by more reads as a memory regression through the
+outputs kept alone.  It is null when the fit is missing or not rising.  On
+BENCH_16.json it reads about +32% for decide and +53% for analyze.  With
+--trace-seed, one traced run per side and workload adds the per-layer
+metrics.  The file is rewritten after every run, so an interrupted run keeps
+what it measured.
 """
 
 from __future__ import annotations
@@ -80,6 +88,17 @@ def rss_fit(runs: list[dict]) -> dict | None:
     except statistics.StatisticsError:
         return None
     return {"kb_per_request": fit.slope * 1024, "intercept_mb": fit.intercept}
+
+
+def rss_headroom_pct(runs: list[dict], bound: float) -> float | None:
+    """The throughput gain, in percent, at which these runs' fitted
+    peak_rss_mb reaches their median peak_rss_mb times (1 + bound)."""
+    fit = rss_fit(runs)
+    if fit is None or fit["kb_per_request"] <= 0:
+        return None
+    limit = statistics.median(r["peak_rss_mb"] for r in runs) * (1 + bound)
+    outputs_mb = fit["kb_per_request"] / 1024 * statistics.median(r["attempted"] for r in runs)
+    return 100 * ((limit - fit["intercept_mb"]) / outputs_mb - 1)
 
 
 def commit_of(checkout: str) -> str | None:
@@ -146,6 +165,8 @@ def main(argv: list[str] | None = None) -> int:
         entry["attempted"] = compare([r["attempted"] for r in runs["parent"]],
                                      [r["attempted"] for r in runs["change"]], "higher")
         entry["peak_rss_vs_attempted"] = {side: rss_fit(runs[side]) for side in SIDES}
+        entry["rss_headroom_pct"] = rss_headroom_pct(runs["parent"],
+                                                     end_to_end["peak_rss_mb"]["bound"])
         if args.trace_seed is not None:
             entry[f"traced_seed{args.trace_seed}"] = {
                 side: {k: v["value"] for k, v in run_once(
