@@ -6,7 +6,8 @@ class's downset.  Disjoining the normal forms of a subforest's maximal
 elements axiomatizes it; disjoining those of a partition's maximal realized
 classes yields the partition's axiom, with no forest built.  In the other
 direction, any Ruspini subforest is realized by an explicit step-function
-partition whose values at each interval sum to 1.
+partition whose values at each interval sum to 1; it is built from the
+subforest's maximal classes alone, again with no forest.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .formulas import And, Bot, Formula, Iff, Lhd, Not, Or, Top, Var
 from .records import _Record
@@ -131,7 +132,7 @@ def overlap_axiom(n: int) -> Formula:
 
 
 def _leaf_column(leaf: AssignmentClass) -> tuple[Fraction, ...]:
-    """Membership values realizing the leaf, summing to exactly 1.
+    """Membership values realizing a Ruspini-forest leaf, summing to exactly 1.
 
     One-variable-at-1 leaves use the 0/1 column.  Positive-chain leaves with
     blocks of sizes w1..wk get value i / sum(j * wj) on block i, which is
@@ -141,8 +142,6 @@ def _leaf_column(leaf: AssignmentClass) -> tuple[Fraction, ...]:
 
     values = [Fraction(0)] * leaf.n
     if leaf.one:
-        if len(leaf.one) != 1 or leaf.mid:
-            raise ValueError(f"class {leaf} is not a Ruspini-forest leaf")
         values[leaf.one[0] - 1] = Fraction(1)
         return tuple(values)
     weight = sum(idx * len(block) for idx, block in enumerate(leaf.mid, start=1))
@@ -152,28 +151,31 @@ def _leaf_column(leaf: AssignmentClass) -> tuple[Fraction, ...]:
     return tuple(values)
 
 
-def synthesize_partition(sub: Subforest, n: int) -> Partition:
-    """Step-function partition realizing exactly the given Ruspini subforest.
+def synthesize_partition(classes: Iterable[AssignmentClass]) -> Partition:
+    """Step-function partition whose realized classes are exactly the
+    downset of the given classes, a Ruspini subforest: the classes are over
+    one n, and their maximal ones are Ruspini-forest leaves.
 
-    With m maximal elements, [0, 1] splits into m equal intervals (the last
-    one closed); on the j-th interval the membership values are the j-th
-    leaf's column.  The result sums to 1 everywhere, realizes the subforest,
-    and each set has at most m - 1 jumps.
+    With m maximal classes, [0, 1] splits into m equal intervals (the last
+    one closed); on the j-th interval, in `class_key` order, the membership
+    values are the j-th maximal class's column.  The result sums to 1
+    everywhere, and each set has at most m - 1 jumps.  No forest is built,
+    so it takes any n.
     """
     from fractions import Fraction
 
-    from .forest import is_ruspini_subforest
+    from .forest import _maximal, is_ruspini_leaf
     from .partitions import Partition, PiecewiseLinearFuzzySet
 
-    if sub.forest.n != n:
-        raise ValueError(
-            f"subforest lives over {sub.forest.n} variables, expected {n}"
-        )
-    if not sub.members:
+    leaves = _maximal(classes)
+    if not leaves:
         raise ValueError("cannot synthesize a partition from an empty subforest")
-    if not is_ruspini_subforest(sub):
-        raise ValueError("subforest is not a Ruspini subforest")
-    leaves = sub.leaves()
+    n = leaves[0].n
+    for leaf in leaves:  # a class's ancestors are over its n, so the maxima show every n
+        if leaf.n != n:
+            raise ValueError(f"classes over {n} and {leaf.n} variables do not share a forest")
+        if not is_ruspini_leaf(leaf):
+            raise ValueError("subforest is not a Ruspini subforest")
     m = len(leaves)
     columns = [_leaf_column(leaf) for leaf in leaves]
     sets = []

@@ -172,25 +172,26 @@ def _cmd_synthesize(args) -> int:
 
     from .axioms import synthesize_partition
     from .exports import class_from_json
-    from .forest import downset, enumerate_forest
+    from .forest import _maximal
     from .partitions import partition_to_json
 
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     obj = _load_json(args.leaves)
     if not isinstance(obj, list):
         raise ValueError(f"{args.leaves}: expected a JSON list of classes")
-    forest = enumerate_forest(args.n)
     seeds = []
     for k, entry in enumerate(obj):
         try:
             seeds.append(class_from_json(entry, args.n))
         except ValueError as exc:
             raise ValueError(f"{args.leaves}: leaf {k}: {exc}") from exc
-    sub = downset(forest, seeds)
-    partition = synthesize_partition(sub, args.n)
+    leaves = _maximal(seeds)
+    partition = synthesize_partition(leaves)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(partition_to_json(partition), handle, indent=2)
         handle.write("\n")
-    print(f"wrote {partition.n} sets over {len(sub.leaves())} intervals to {args.output}")
+    print(f"wrote {partition.n} sets over {len(leaves)} intervals to {args.output}")
     return 0
 
 

@@ -60,8 +60,11 @@ class AssignmentClass(_Record):
                     raise ValueError(f"variable index {v} appears in two blocks")
                 seen.add(v)
         if len(seen) != n:
-            missing = sorted(set(range(1, n + 1)) - seen)
-            raise ValueError(f"blocks do not cover variables {missing}")
+            # The first nine missing indices lie among the first len(seen) + 9.
+            missing = [v for v in range(1, min(n, len(seen) + 9) + 1) if v not in seen][:9]
+            shown = ", ".join(map(str, missing[:8]))
+            end = f", ...] ({n - len(seen)} in all)" if len(missing) > 8 else "]"
+            raise ValueError(f"blocks do not cover variables [{shown}{end}")
         if any(not b for b in mid):
             raise ValueError("mid blocks must be nonempty")
         mid = tuple(tuple(sorted(b)) for b in mid)
@@ -116,13 +119,14 @@ def class_key(c: AssignmentClass) -> tuple:
     return (c.zero, c.mid, c.one)
 
 
-def class_of_values(values: Sequence[Fraction | int]) -> AssignmentClass:
-    """Class realized by the given variable values (X1 gets values[0])."""
+def class_of_values(values: Sequence[Fraction | int | str]) -> AssignmentClass:
+    """Class realized by the given variable values (X1 gets values[0]), each
+    an exact rational as `partitions.as_fraction` reads it."""
     if len(values) == 0:
         raise ValueError("at least one value is required")
-    from fractions import Fraction
+    from .partitions import as_fraction  # `forest` loads without `partitions`
     levels: dict[Fraction, list[int]] = {}  # the variables at each value
-    for i, v in enumerate([Fraction(v) for v in values], start=1):
+    for i, v in enumerate([as_fraction(v) for v in values], start=1):
         if not 0 <= v <= 1:
             raise ValueError(f"value for X{i} is outside [0, 1]: {v}")
         levels.setdefault(v, []).append(i)
@@ -393,8 +397,7 @@ class Subforest(_Record):
     results from masks without revalidating them.
     """
 
-    __match_args__ = ("forest", "mask")
-    __slots__ = (*__match_args__, "_walked")  # _walk(), on first use
+    __slots__ = __match_args__ = ("forest", "mask")
     forest: Forest
     mask: int
 
@@ -425,26 +428,19 @@ class Subforest(_Record):
         if self.forest is not other.forest:
             raise ValueError("subforests live in different ambient forests")
 
-    def _walk(self) -> tuple[list[AssignmentClass], list[Optional[int]]]:
-        """The members in id order, and each one's parent's position."""
-        if not hasattr(self, "_walked"):
-            n, classes, parents = self.forest.n, [], []
-            for _, up, zero, mid, one in self.forest.walk(self.mask):
-                classes.append(_class(n, zero, mid, one))
-                parents.append(up)
-            object.__setattr__(self, "_walked", (classes, parents))
-        return self._walked
-
     @property
     def members(self) -> frozenset[AssignmentClass]:
-        return frozenset(self._walk()[0])
+        n = self.forest.n
+        return frozenset([_class(n, zero, mid, one)
+                          for _, _, zero, mid, one in self.forest.walk(self.mask)])
 
     def leaves(self) -> tuple[AssignmentClass, ...]:
         """Maximal elements (members that are no member's parent), in
         canonical order."""
-        members, parents = self._walk()
-        inner = set(parents)
-        return tuple(c for k, c in enumerate(members) if k not in inner)
+        walk, n = list(self.forest.walk(self.mask)), self.forest.n
+        inner = {w[1] for w in walk}
+        return tuple([_class(n, zero, mid, one)
+                      for k, _, zero, mid, one in walk if k not in inner])
 
     def meet(self, other: "Subforest") -> "Subforest":
         self._check_ambient(other)

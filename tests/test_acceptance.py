@@ -191,7 +191,7 @@ def test_criterion_08_synthesis_roundtrip():
     for r in range(1, len(leaves2) + 1):
         for chosen in itertools.combinations(leaves2, r):
             sub = downset(f2, chosen)
-            p = synthesize_partition(sub, 2)
+            p = synthesize_partition(chosen)
             m = len(sub.leaves())
             ok &= partition_forest(p).members == sub.members
             ok &= check_ruspini_exact(p)
@@ -201,7 +201,7 @@ def test_criterion_08_synthesis_roundtrip():
     f3 = enumerate_forest(3)
     for _ in range(100):
         sub = random_ruspini_subforest(rng, f3)
-        p = synthesize_partition(sub, 3)
+        p = synthesize_partition(sub.leaves())
         m = len(sub.leaves())
         ok &= partition_forest(p).members == sub.members
         ok &= check_ruspini_exact(p)
@@ -250,10 +250,10 @@ def test_criterion_09_verdict_triples_and_finite_agreement():
     leaves2 = ruspini_subforest(f2).leaves()
     for r in range(1, len(leaves2) + 1):
         for chosen in itertools.combinations(leaves2, r):
-            positives.append(synthesize_partition(downset(f2, chosen), 2))
+            positives.append(synthesize_partition(chosen))
     positives = positives[:12]
     for _ in range(8):
-        positives.append(synthesize_partition(random_ruspini_subforest(rng, f3), 3))
+        positives.append(synthesize_partition(random_ruspini_subforest(rng, f3).leaves()))
     negatives = _negative_instances()
     assert len(positives) >= 20 and len(negatives) >= 10
 

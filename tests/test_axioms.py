@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 
@@ -26,6 +27,8 @@ from godelforest import (
     chain_normal_form,
     check_2_overlapping,
     class_from_json,
+    class_of_values,
+    class_to_json,
     check_ruspini_exact,
     count_2overlap_weak_ruspini,
     count_leaves,
@@ -45,6 +48,8 @@ from godelforest import (
     overlap_axiom,
     parse_formula,
     partition_forest,
+    partition_from_json,
+    partition_to_json,
     proves_equiv,
     proves_implies,
     realized_classes,
@@ -56,6 +61,7 @@ from godelforest import (
 )
 from godelforest.axioms import AXIOM_MAX_N
 from godelforest.counts import COUNT_MAX_N
+from godelforest.forest import _maximal
 from helpers import (
     cls,
     fr,
@@ -343,30 +349,77 @@ def test_weak_ruspini_count_matches_exhaustive_enumeration():
 
 
 def test_synthesize_single_boolean_leaf():
-    forest = enumerate_forest(2)
-    sub = downset(forest, [cls(2, zero=[2], one=[1])])
-    p = synthesize_partition(sub, 2)
+    p = synthesize_partition([cls(2, zero=[2], one=[1])])
     for x in (fr(0), fr("1/3"), fr(1)):
         assert p.sets[0].value_at(x) == 1
         assert p.sets[1].value_at(x) == 0
 
 
 def test_synthesize_value_rule():
-    forest = enumerate_forest(2)
-    p = synthesize_partition(downset(forest, [cls(2, mid=[[1], [2]])]), 2)
+    p = synthesize_partition([cls(2, mid=[[1], [2]])])
     assert p.values_at(fr("1/2")) == (fr("1/3"), fr("2/3"))
-    p2 = synthesize_partition(downset(forest, [cls(2, mid=[[1, 2]])]), 2)
+    p2 = synthesize_partition([cls(2, mid=[[1, 2]])])
     assert p2.values_at(fr("1/2")) == (fr("1/2"), fr("1/2"))
 
 
 def test_synthesize_rejects_bad_input():
     forest = enumerate_forest(2)
-    with pytest.raises(ValueError):
-        synthesize_partition(empty_subforest(forest), 2)
-    with pytest.raises(ValueError):
-        synthesize_partition(full_subforest(forest), 2)
-    with pytest.raises(ValueError):
-        synthesize_partition(ruspini_subforest(forest), 3)
+    for classes, message in [
+        ([], "cannot synthesize a partition from an empty subforest"),
+        (full_subforest(forest).members, "subforest is not a Ruspini subforest"),
+        ([cls(2, zero=[2], one=[1]), cls(3, mid=[[1, 2, 3]])],
+         "classes over 3 and 2 variables do not share a forest"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            synthesize_partition(classes)
+        assert str(info.value) == message
+
+
+def test_synthesis_refuses_exactly_where_the_downset_is_not_ruspini():
+    # Arbitrary seeded classes; the forest route decides which to refuse.
+    rng = random.Random(18)
+    outcomes = set()
+    for k in range(600):
+        n = 1 + k % 5
+        forest = enumerate_forest(n)
+        seeds = [class_of_values([fr(rng.randint(0, 4)) / 4 for _ in range(n)])
+                 for _ in range(rng.randint(0, 3))]
+        sub = downset(forest, seeds)
+        try:
+            p = synthesize_partition(seeds)
+        except ValueError:
+            assert not is_ruspini_subforest(sub), seeds
+            outcomes.add("refused")
+            continue
+        assert is_ruspini_subforest(sub), seeds
+        assert _maximal(realized_classes(p)) == sub.leaves()
+        assert partition_forest(p) == sub and check_ruspini_exact(p)
+        outcomes.add("synthesized")
+    assert outcomes == {"refused", "synthesized"}
+
+
+def test_synthesis_builds_no_forest(monkeypatch, tmp_path, capsys):
+    from godelforest import forest
+    from godelforest.cli import main
+
+    leaves = [cls(3, mid=[[1], [2, 3]]), cls(3, zero=[1, 2], one=[3]),
+              cls(3, mid=[[1]], one=[2, 3])]
+    expected = partition_to_json(synthesize_partition(leaves))
+    assert partition_forest(partition_from_json(expected)) == downset(enumerate_forest(3), leaves)
+
+    def refuse(*args):
+        raise AssertionError("a forest was built")
+
+    monkeypatch.setattr(forest, "enumerate_forest", refuse)
+    monkeypatch.setattr(forest.Forest, "__init__", refuse)
+    assert partition_to_json(synthesize_partition(leaves)) == expected
+    assert synthesize_partition([cls(12, zero=range(2, 13), one=[1])]).n == 12
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "leaves.json").write_text(json.dumps([class_to_json(c) for c in leaves]))
+    assert main(["synthesize", "leaves.json", "--n", "3", "-o", "out.json"]) == 0
+    # Two maxima: the third class lies below the first.
+    assert capsys.readouterr() == ("wrote 3 sets over 2 intervals to out.json\n", "")
+    assert json.loads((tmp_path / "out.json").read_text()) == expected
 
 
 def count_jumps(fset):
@@ -382,7 +435,7 @@ def test_synthesis_roundtrip_exhaustive_n2():
     for r in range(1, len(leaves) + 1):
         for chosen in itertools.combinations(leaves, r):
             sub = downset(forest, chosen)
-            p = synthesize_partition(sub, 2)
+            p = synthesize_partition(chosen)
             assert check_ruspini_exact(p)
             assert partition_forest(p).members == sub.members
             m = len(sub.leaves())
@@ -394,7 +447,7 @@ def test_synthesis_roundtrip_sampled_n3():
     forest = enumerate_forest(3)
     for _ in range(30):
         sub = random_ruspini_subforest(rng, forest)
-        p = synthesize_partition(sub, 3)
+        p = synthesize_partition(sub.members)  # any classes: their maxima count
         assert check_ruspini_exact(p)
         assert is_weak_ruspini(p)  # exact always implies weak
         assert partition_forest(p).members == sub.members
@@ -407,8 +460,7 @@ def test_two_overlap_subforests_synthesize_two_overlap_partitions():
     candidates = [l for l in ruspini_subforest(forest).leaves() if l in tn]
     for _ in range(15):
         chosen = rng.sample(candidates, rng.randint(1, len(candidates)))
-        sub = downset(forest, chosen)
-        p = synthesize_partition(sub, 3)
+        p = synthesize_partition(chosen)
         assert check_2_overlapping(p)
         assert check_ruspini_exact(p)
 
@@ -417,7 +469,7 @@ def test_analyze_positive_instance():
     forest = enumerate_forest(3)
     tn = two_overlap_subforest(forest)
     leaves = [l for l in ruspini_subforest(forest).leaves() if l in tn][:4]
-    p = synthesize_partition(downset(forest, leaves), 3)
+    p = synthesize_partition(leaves)
     report = analyze(p)
     assert report.is_exact_ruspini
     assert report.is_weak_ruspini
@@ -473,7 +525,7 @@ def test_analyze_consistency_and_finite_logic_agreement():
     ]
     for _ in range(8):
         instances.append(
-            synthesize_partition(random_ruspini_subforest(rng, forest3), 3)
+            synthesize_partition(random_ruspini_subforest(rng, forest3).leaves())
         )
     g4 = Logic(4)
     for p in instances:
@@ -502,7 +554,7 @@ def test_analyze_proof_entries_equal_the_decision_procedures():
         if k % 3:
             p = random_partition(rng, n)
         else:
-            p = synthesize_partition(random_ruspini_subforest(rng, enumerate_forest(n)), n)
+            p = synthesize_partition(random_ruspini_subforest(rng, enumerate_forest(n)).leaves())
         report = analyze(p)
         fp = partition_forest(p)  # the maxima analyze reads without a forest
         assert (report.realized_leaves, report.axiom) == (fp.leaves(), axiomatize_subforest(fp))
@@ -536,7 +588,7 @@ def test_analyze_evaluates_each_formula_once(monkeypatch):
 
     # `analyze` reads semantics.formula_forest when it is called.
     monkeypatch.setattr(godelforest.semantics, "formula_forest", counting)
-    p = synthesize_partition(ruspini_subforest(enumerate_forest(3)), 3)
+    p = synthesize_partition(ruspini_subforest(enumerate_forest(3)).leaves())
     report = analyze(p)
     # alpha, the right-hand side of the equivalence, and tau; once each.
     assert len(evaluated) == 3
@@ -553,7 +605,7 @@ def test_analyze_walks_each_subforest_once(monkeypatch):
         walked.append(mask)
         return original(forest, mask)
 
-    p = synthesize_partition(ruspini_subforest(enumerate_forest(3)), 3)
+    p = synthesize_partition(ruspini_subforest(enumerate_forest(3)).leaves())
     monkeypatch.setattr(Forest, "walk", counting)
     report = analyze(p)
     # The realized forest (axiomatized, checked and reported) and alpha's

@@ -12,7 +12,10 @@ import pytest
 
 from godelforest import (
     axiomatize_partition,
+    check_ruspini_exact,
+    class_key,
     class_of_values,
+    class_to_json,
     count_leaves,
     enumerate_forest,
     eval_formula,
@@ -27,7 +30,8 @@ from godelforest import (
     subforest_to_json,
 )
 from godelforest.cli import main
-from helpers import reference_forest, triangular_partition
+from godelforest.forest import _maximal
+from helpers import cls, reference_forest, triangular_partition
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 SRC = DATA.parent / "src"
@@ -306,6 +310,67 @@ def test_synthesize_rejects_non_integer_variables(tmp_path, capsys, leaf):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {bad}: leaf 0: variable index ")
     assert err.endswith(" is not an integer\n") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"zero": [1], "mid": [], "one": [2]}', "expected a JSON list of classes"),
+    ("[1]", "leaf 0: class JSON must be an object"),
+    ('[{"zero": [1]}]', "leaf 0: class JSON is missing keys: mid, one"),
+    ('[{"zero": 1, "mid": [], "one": [2]}]', "leaf 0: 'zero', 'mid', 'one' must be lists"),
+    ('[{"zero": [], "mid": [1], "one": [2]}]', "leaf 0: 'mid' must be a list of lists"),
+], ids=["not-a-list", "not-an-object", "missing-keys", "not-lists", "flat-mid"])
+def test_synthesize_refuses_malformed_leaves_files(tmp_path, capsys, monkeypatch, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "leaves.json").write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "synthesize", "leaves.json", "--n", "2", "-o", "out.json")
+    assert (code, out, err) == (1, "", f"error: leaves.json: {message}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_synthesize_needs_a_variable(tmp_path, capsys, monkeypatch, n):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "leaves.json").write_text("[]", encoding="utf-8")
+    code, out, err = run(capsys, "synthesize", "leaves.json", "--n", n, "-o", "out.json")
+    assert (code, out, err) == (1, "", f"error: --n must be >= 1, got {n}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def synthesize_subprocess(tmp_path, leaves, n):
+    """`synthesize` of a leaves list as a subprocess: its result and wall time."""
+    (tmp_path / "leaves.json").write_text(json.dumps(leaves), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "godelforest.cli", "synthesize", "leaves.json",
+                           "--n", str(n), "-o", "out.json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("n", [9, 12, 20])
+def test_synthesize_past_eight_variables(tmp_path, n):
+    # No forest is built, so any n is answered: a chain of all n variables,
+    # two positive variables, one variable at 1, and an ancestor of the second.
+    rest = list(range(3, n + 1))
+    leaves = [cls(n, mid=[[v] for v in range(n, 0, -1)]), cls(n, zero=rest, mid=[[2], [1]]),
+              cls(n, zero=range(2, n + 1), one=[1]), cls(n, zero=rest, mid=[[2]], one=[1])]
+    proc, elapsed = synthesize_subprocess(tmp_path, [class_to_json(c) for c in leaves], n)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"wrote {n} sets over 3 intervals to out.json\n"
+    assert elapsed < 1, elapsed
+    p = partition_from_json(json.loads((tmp_path / "out.json").read_text(encoding="utf-8")))
+    maxima = tuple(sorted(leaves[:3], key=class_key))
+    assert _maximal(realized_classes(p)) == _maximal(leaves) == maxima
+    assert check_ruspini_exact(p)
+
+
+def test_synthesize_lists_at_most_eight_uncovered_variables(tmp_path):
+    proc, elapsed = synthesize_subprocess(tmp_path, [{"zero": [1], "mid": [], "one": [2]}], 10**9)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: leaves.json: leaf 0: blocks do not cover variables "
+                           "[3, 4, 5, 6, 7, 8, 9, 10, ...] (999999998 in all)\n")
+    assert elapsed < 1, elapsed
     assert not (tmp_path / "out.json").exists()
 
 

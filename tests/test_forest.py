@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -66,6 +67,32 @@ def test_class_of_values_errors():
         class_of_values((fr(2),))
     with pytest.raises(ValueError):
         class_of_values((fr(-1, ),))
+
+
+@pytest.mark.parametrize("values", [[True], [0.5], ["1e-1000000"], [fr("1/2"), False]],
+                         ids=["bool", "float", "exponent", "second-bool"])
+def test_class_of_values_reads_exact_rationals_only(values):
+    # Fraction() would take all four, and expand the exponent digit by digit.
+    with pytest.raises(ValueError) as info:
+        class_of_values(values)
+    assert str(info.value) == f"not an exact rational: {values[-1]!r}"
+    assert class_of_values([0, "1/2", fr(1)]) == cls(3, zero=[1], mid=[[2]], one=[3])
+
+
+def test_uncovered_variables_are_listed_up_to_eight():
+    for args, listed in [((8, (1, 4, 5), ((6, 7),), (2,)), "3, 8"),
+                         ((10, (1,), (), (2,)), "3, 4, 5, 6, 7, 8, 9, 10")]:
+        with pytest.raises(ValueError) as info:
+            AssignmentClass(*args)
+        assert str(info.value) == f"blocks do not cover variables [{listed}]"
+    # Past eight, the first eight and the total, found without a range over n.
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        AssignmentClass(10**9, (1,), (), (2,))
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == (
+        "blocks do not cover variables [3, 4, 5, 6, 7, 8, 9, 10, ...] (999999998 in all)"
+    )
 
 
 def test_class_validation():
@@ -484,27 +511,18 @@ def test_copied_and_pickled_subforests_live_in_the_cached_forest():
             assert other.join(ruspini_subforest(forest)).mask == sub.mask | forest.ruspini
 
 
-def test_subforest_walks_its_mask_at_most_once(monkeypatch):
+def test_subforest_is_its_forest_and_mask():
     forest = enumerate_forest(4)
-    walked = []
-    original = Forest.walk
-
-    def counting(forest, mask):
-        walked.append(mask)
-        return original(forest, mask)
-
-    monkeypatch.setattr(Forest, "walk", counting)
     sub = ruspini_subforest(forest)
     assert sub.members == sub.members and sub.leaves() == sub.leaves()
     assert is_ruspini_subforest(sub)
-    assert walked == [forest.ruspini]
-    # The walk is no field: equality, hash, repr and pickling ignore it.
+    # Reading the members keeps nothing on the subforest: equality, hash,
+    # repr and pickling see the forest and the mask alone.
     fresh = ruspini_subforest(forest)
     assert fresh == sub and hash(fresh) == hash(sub) and repr(fresh) == repr(sub)
     assert sub.__getstate__() == fresh.__getstate__() == (forest, forest.ruspini)
     assert pickle.dumps(sub) == pickle.dumps(fresh)
     assert pickle.loads(pickle.dumps(sub)).leaves() == sub.leaves()
-    assert walked == [forest.ruspini] * 2  # the unpickled copy walks anew
 
 
 def test_implication_matches_formula_semantics():

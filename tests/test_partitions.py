@@ -70,6 +70,8 @@ def test_set_validation_names_offender():
         pl("bad", ("0", "0"), ("1/2", "2"), ("1", "0"))
     with pytest.raises(ValueError, match="first abscissa"):
         pl("g", ("1/4", "0"), ("1", "0"))
+    with pytest.raises(ValueError, match=r"^set 'g', point 1: abscissa 3/2 outside \[0, 1\]$"):
+        pl("g", ("0", "0"), ("3/2", "1"), ("1", "0"))
     with pytest.raises(ValueError, match="last abscissa"):
         pl("g", ("0", "0"), ("1/2", "0"))
     with pytest.raises(ValueError, match="nondecreasing"):

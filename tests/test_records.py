@@ -77,7 +77,7 @@ def partitions():
     rng = random.Random(4242)
     out = [random_partition(rng, 1 + k % 4) for k in range(24)]
     for n in (2, 3):
-        out += [synthesize_partition(random_ruspini_subforest(rng, enumerate_forest(n)), n)
+        out += [synthesize_partition(random_ruspini_subforest(rng, enumerate_forest(n)).members)
                 for _ in range(4)]
     return out
 
@@ -105,7 +105,7 @@ def reports():
     verdict of each check among them."""
     rng = random.Random(31)
     ps = [random_partition(rng, 1 + k % 3) for k in range(10)]
-    ps += [synthesize_partition(random_ruspini_subforest(rng, enumerate_forest(n)), n)
+    ps += [synthesize_partition(random_ruspini_subforest(rng, enumerate_forest(n)).leaves())
            for n in (2, 3)]
     return [analyze(p) for p in ps]
 

@@ -8,10 +8,12 @@ even request numbers and the change on odd ones.  Each run gets a fresh
 empty working directory holding the request's input files, so files that a
 run writes (such as `synthesize` output) are read back and compared too.
 The environment is passed on as it is, PYTHONDONTWRITEBYTECODE included.
-After the rounds it replays each argv of the change's
-`tools/cli_edge_argv.json` (help, usage errors and other argv that argparse
-reads) in an empty working directory, under the category `extra`.  Make the
-two checkouts as clean copies of the commits, for example:
+After the rounds it replays each entry of the change's
+`tools/cli_edge_argv.json` (help, usage errors, other argv that argparse
+reads, and refusals of bad input files) under the category `extra`.  An
+entry is a bare argv, run in an empty working directory, or
+`{"argv": [...], "files": {path: content}}`, run with those files.  Make
+the two checkouts as clean copies of the commits, for example:
 
     git clone -q . ../parent && git -C ../parent checkout <parent-commit>
     python3 tools/cli_replay.py --parent ../parent --change . --seed 1 --seed 2
@@ -94,8 +96,8 @@ def main(argv: list[str] | None = None) -> int:
     rounds = [(seed, gen.generate("cli", seed, args.parent)) for seed in args.seed or [1, 2]]
     edge_argv = os.path.join(args.change, "tools", "cli_edge_argv.json")
     with open(edge_argv, encoding="utf-8") as handle:
-        rounds.append(("extra", [{"argv": argv, "files": {}, "cat": "extra"}
-                                 for argv in json.load(handle)]))
+        entries = [e if isinstance(e, dict) else {"argv": e} for e in json.load(handle)]
+    rounds.append(("extra", [{"files": {}, **e, "cat": "extra"} for e in entries]))
     differing, times = [], {}
     total = 0
     for seed, requests in rounds:
