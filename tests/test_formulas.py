@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from fractions import Fraction
 from itertools import accumulate
 
@@ -284,6 +286,104 @@ def test_parser_matches_the_recursive_reference_on_random_text():
             assert got == expected, text
             kinds[expected[0]] += 1
     assert min(kinds.values()) > 1000, kinds
+
+
+# Texts that random ones of at most 14 pieces rarely reach: a lexical error
+# after a parse error, whitespace runs before the end, bad variables and
+# words in context, and whitespace the scanner does not skip next to
+# whitespace it does.
+_FIXED_ERROR_TEXTS = (
+    "<->top½X2->~", "( \r", "X1 |\t\n", "X1 |\t\n ", "X1 & X", "X1 -> X0", "Xq",
+    "X2 | botX", "(X1 & X2) X", "\x0b X1", "X1 \x0b", "X1 &\t\x0b\n", " \xa0X1",
+    "X1 \xa0 ", "X1 \n\xa0", "X1 ½  \t", "  ", "X1 & X2 )\n\n", "X1 -> X2 <| X3 ½",
+)
+
+
+def test_parse_errors_of_fixed_texts_match_the_recursive_reference():
+    for text in _FIXED_ERROR_TEXTS:
+        expected = _parse_outcome(reference_parse_formula, text)
+        assert expected[0] == "ParseError", text
+        assert _parse_outcome(parse_formula, text) == expected, text
+    assert _parse_outcome(parse_formula, "<->top½X2->~")[1:] == (
+        "unexpected character '½' (at position 6)", 6)
+    # The reference hands '²' and a 4,301-digit index to int(), which raises a
+    # plain ValueError; the scanner's messages are fixed here.
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    for text, message, pos in (
+        ("X1 & X²", "expected digits after 'X'", 5),
+        ("X1 &\n X" + digits + " | X2", "variable index too long", 6),
+        ("X" + digits + " ½", "variable index too long", 0),
+    ):
+        assert _parse_outcome(parse_formula, text) == (
+            "ParseError", f"{message} (at position {pos})", pos)
+
+
+def _long_text(rng, pieces):
+    """A text of about `pieces` pieces, tokens alternating with the
+    whitespace between them (some of it empty): a flat formula with
+    parentheses nested at most eight deep and one arrow kind, often with one
+    token replaced by a random valid or invalid piece, and sometimes with
+    trailing whitespace."""
+    arrow = rng.choice(("->", "<->", "<|"))
+    out, depth = [], 0
+    while 2 * len(out) < pieces:
+        out += ["~"] * (rng.random() < 0.2)
+        if depth < 8 and rng.random() < 0.15:
+            out.append("(")
+            depth += 1
+            continue
+        out.append(rng.choice(("X1", "X2", "X12", "0", "1", "bot", "top")))
+        while depth and rng.random() < 0.2:
+            out.append(")")
+            depth -= 1
+        out.append(rng.choice(("&", "|", "&", "|", arrow)))
+    out += ["X3", *[")"] * depth]
+    if rng.random() < 0.75:
+        out[rng.randrange(len(out))] = rng.choice(_VALID_PIECES + _INVALID_PIECES)
+    glue = rng.choices(("", "", " ", "\t", "\n ", "\r\n", "   "), k=len(out))
+    for k in range(1, len(out)):
+        if not glue[k] and out[k - 1][-1].isalnum() and out[k][0].isalnum():
+            glue[k] = " "  # no new token such as X11 or botX1
+    glue[0] = rng.choice(("", "", " ", "\n", " \t\r\n "))  # the trailing whitespace
+    return "".join(piece for pair in zip(out, glue[1:] + glue[:1]) for piece in pair)
+
+
+def test_parser_matches_the_recursive_reference_on_long_text():
+    rng = random.Random(19)
+    far = {"formula": 0, "ParseError": 0}
+    for _ in range(2000):
+        text = _long_text(rng, rng.randint(100, 1000))
+        expected = _parse_outcome(reference_parse_formula, text)
+        got = _parse_outcome(parse_formula, text)
+        if expected[0] == "ValueError":  # '²' after 'X', as on short texts
+            assert got[0] == "ParseError", text
+            continue
+        assert got == expected, text
+        if expected[0] == "formula" or expected[2] > 500:
+            far[expected[0]] += 1
+    assert min(far.values()) > 200, far
+
+
+# A scanner whose whitespace is retried from every offset takes minutes on
+# the first of these; each takes well under a second here.
+def test_parse_time_is_linear_in_the_text():
+    chain = " & ".join(["X1"] * 50_000)
+    bad_end = "X1 & " * 200_000 + "½"
+    cases = [
+        ("X1" + " " * 10**6, lambda f: f == Var(1)),
+        (" " * 10**6 + "X1", lambda f: f == Var(1)),
+        (chain, lambda f: len(program(f)) == 50_000 and format_formula(f) == chain),
+        (bad_end, lambda err: err.pos == len(bad_end) - 1
+         and str(err) == f"unexpected character '½' (at position {len(bad_end) - 1})"),
+    ]
+    for text, holds in cases:
+        started = time.perf_counter()
+        try:
+            result = parse_formula(text)
+        except ParseError as err:
+            result = err
+        assert time.perf_counter() - started < 10, text[:20]
+        assert holds(result), text[:20]
 
 
 def test_printer_matches_the_recursive_reference():
