@@ -103,7 +103,9 @@ def grid_tautology_oracle(f: Formula, n: int, t: int) -> bool:
     if type(n) is not int or n < 0:  # bool too, as Logic refuses a bool t
         raise ValueError(f"the grid needs an integer n >= 0, got {n!r}")
     Logic(t)  # refuses t < 2 and a t that is not an int
-    if t**n > GRID_ORACLE_BUDGET:
+    # t >= 2, so t**n >= 2**n, which is over the budget from its bit length
+    # on: such n are refused before a power of millions of digits is built.
+    if n >= GRID_ORACLE_BUDGET.bit_length() or t**n > GRID_ORACLE_BUDGET:
         raise ValueError(
             f"grid of {t}**{n} assignments exceeds the budget of {GRID_ORACLE_BUDGET}"
         )

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -811,3 +813,90 @@ def test_plain_reader_agrees_with_argparse_or_declines_on_fuzzed_argv():
             assert plain is None, argv
     # Neither outcome is rare, so neither half of the check is vacuous.
     assert plain_reads > 200 and argparse_exits > 200
+
+
+def _script_command():
+    """The command the `godelforest` console script runs: its target in
+    pyproject.toml, called as pip's generated script calls it."""
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, func = re.search(r'^godelforest = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
+#: The two ways a process enters the CLI: `python -m godelforest.cli` and
+#: the console script, both through `cli.entry`.
+ENTRIES = {"module": [sys.executable, "-m", "godelforest.cli"], "script": _script_command()}
+
+
+def cli_process(how, argv, **keywords):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(ENTRIES[how] + argv, env=env, capture_output=True, text=True,
+                          timeout=60, **keywords)
+
+
+def test_the_console_script_runs_the_process_entry():
+    assert ENTRIES["script"][-1].endswith("from godelforest.cli import entry; sys.exit(entry())")
+
+
+@pytest.mark.parametrize("how", ENTRIES)
+def test_a_process_exits_as_main_returns(capsys, monkeypatch, how):
+    # argparse wraps help to the terminal's width; both sides read this one.
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code, stderr_end in [
+        (["count", "--n", "3", "--kind", "leaves"], 0, ""),
+        (["--help"], 0, ""),
+        (["taut", "--n", "2", "X3"], 1, "error: formula uses X3 but --n is 2\n"),
+        (["count", "--n", "3"], 2, "error: the following arguments are required: --kind\n"),
+    ]:
+        proc = cli_process(how, argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv), argv
+        assert proc.returncode == code and proc.stderr.endswith(stderr_end), argv
+
+
+@pytest.mark.parametrize("how", ENTRIES)
+def test_a_process_on_a_pipe_closed_early_exits_1(how):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.Popen(ENTRIES[how] + ["forest", "--n", "6", "--kind", "fn", "--format", "json"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("how", ENTRIES)
+def test_a_process_writes_the_synthesize_output_in_full(tmp_path, capsys, monkeypatch, how):
+    leaves = ruspini_subforest(enumerate_forest(4)).leaves()
+    (tmp_path / "leaves.json").write_text(json.dumps([class_to_json(c) for c in leaves]),
+                                          encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    proc = cli_process(how, ["synthesize", "leaves.json", "--n", "4", "-o", "process.json"],
+                       cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "wrote 4 sets over 149 intervals to process.json\n"
+    assert run(capsys, "synthesize", "leaves.json", "--n", "4", "-o", "main.json")[0] == 0
+    assert (tmp_path / "process.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
+def test_only_the_process_entry_freezes_the_collector(capsys):
+    # In-process callers of main go on, with the collector as they had it.
+    before = gc.get_freeze_count()
+    for argv in (["count", "--n", "3", "--kind", "leaves"], ["--help"], ["taut", "--n", "2", "X3"]):
+        run(capsys, *argv)
+    assert gc.get_freeze_count() == before
+    code = ("import gc, sys; from godelforest.cli import entry; code = entry(); "
+            "print(gc.get_freeze_count() > 1000); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, "count", "--n", "3", "--kind", "leaves"],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "26\nTrue\n", "")
+
+
+def test_taut_oracle_refuses_a_large_n_within_a_second():
+    start = time.perf_counter()
+    proc = cli_process("module", ["taut", "--n", "1000000000", "--logic", "g3", "--oracle", "X1"])
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: grid of 3**1000000000 assignments exceeds the budget of 1000000\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -124,6 +125,17 @@ def test_grid_oracle_budget():
         grid_tautology_oracle(Top(), 8, 12)
     with pytest.raises(ValueError):
         grid_tautology_oracle(Top(), 1, 1)
+
+
+@pytest.mark.parametrize("n, t", [(20, 2), (10**9, 2), (10**9, 3), (10**9, 10**6)])
+def test_grid_oracle_refuses_a_large_n_before_computing_the_grid_size(n, t):
+    # 2**20 is the first power of two over the budget; 3**(3 * 10**7) alone
+    # takes about 27 s to compute.
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        grid_tautology_oracle(Top(), n, t)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == f"grid of {t}**{n} assignments exceeds the budget of 1000000"
 
 
 # A bad n or t gets one ValueError line, not a TypeError, an AttributeError,

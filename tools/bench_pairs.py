@@ -31,6 +31,17 @@ BENCH_16.json it reads about +32% for decide and +53% for analyze.  With
 --trace-seed, one traced run per side and workload adds the per-layer
 metrics.  The file is rewritten after every run, so an interrupted run keeps
 what it measured.
+
+Each run also records `cpu_s_per_request`: the CPU seconds, user plus system,
+of the perfbench process and of every process it waited for (the cli
+workload's requests and probes among them), read as `resource.getrusage(
+RUSAGE_CHILDREN)` deltas around the run and divided by its `attempted`.  It
+is summarised per side like the wall metrics.  It includes the run's set-up
+and checking, so it is a cross-check on a wall-time claim, not a bound.
+
+Passing one checkout as both --parent and --change is the A/A control: ten
+pairs of the same code give the win counts and median gaps that drift on the
+machine alone produces, to be read next to a claim's.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -49,17 +61,25 @@ SIDES = ("parent", "change")
 PAIRS = 10
 
 
-def run_once(checkout: str, workload: str, seed: int, trace: bool) -> dict:
-    """One benchmark run; returns the JSON object on its last output line."""
+def cpu_seconds_of_children() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_once(checkout: str, workload: str, seed: int, trace: bool) -> tuple[dict, float]:
+    """One benchmark run: the JSON object on its last output line, and the
+    CPU seconds the run and the processes it waited for used."""
+    before = cpu_seconds_of_children()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "1" if trace else "0"],
         cwd=checkout, capture_output=True, text=True,
     )
+    cpu_s = cpu_seconds_of_children() - before
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}:\n"
                            + proc.stderr[-2000:])
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1]), cpu_s
 
 
 def summarise(values: list[float]) -> dict:
@@ -146,9 +166,10 @@ def main(argv: list[str] | None = None) -> int:
             order = SIDES if seed % 2 else SIDES[::-1]
             for side in order:
                 started = time.time()
-                result = run_once(checkouts[side], workload, seed, False)
+                result, cpu_s = run_once(checkouts[side], workload, seed, False)
                 runs[side].append({"seed": seed, "correct": result["correct"],
                                    "attempted": result["attempted"], "failed": result["failed"],
+                                   "cpu_s_per_request": cpu_s / result["attempted"],
                                    **{k: v["value"] for k, v in result["metrics"].items()}})
                 print(f"{workload} seed {seed} {side}: {time.time() - started:.0f} s",
                       file=sys.stderr, flush=True)
@@ -164,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
         }
         entry["attempted"] = compare([r["attempted"] for r in runs["parent"]],
                                      [r["attempted"] for r in runs["change"]], "higher")
+        entry["cpu_s_per_request"] = compare([r["cpu_s_per_request"] for r in runs["parent"]],
+                                             [r["cpu_s_per_request"] for r in runs["change"]],
+                                             "lower")
         entry["peak_rss_vs_attempted"] = {side: rss_fit(runs[side]) for side in SIDES}
         entry["rss_headroom_pct"] = rss_headroom_pct(runs["parent"],
                                                      end_to_end["peak_rss_mb"]["bound"])
@@ -171,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
             entry[f"traced_seed{args.trace_seed}"] = {
                 side: {k: v["value"] for k, v in run_once(
                     checkouts[side], workload, args.trace_seed, True
-                )["metrics"].items()}
+                )[0]["metrics"].items()}
                 for side in SIDES
             }
         save()
