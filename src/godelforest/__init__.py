@@ -12,16 +12,19 @@ import sys
 
 #: submodule -> the public names the package re-exports from it
 _EXPORTS = {
-    "formulas": (
-        "And", "Bot", "Formula", "Iff", "Implies", "Lhd", "Not", "Or", "ParseError",
-        "Top", "Var", "arity", "eval_formula", "format_formula", "parse_formula",
+    "syntax": (
+        "And", "Bot", "Formula", "Iff", "Implies", "Lhd", "Not", "Or", "Top", "Var", "arity",
+        "eval_formula", "format_formula",
+    ),
+    "formulas": ("ParseError", "parse_formula"),
+    "classes": (
+        "AssignmentClass", "class_from_json", "class_key", "class_of_values", "class_to_json",
+        "is_ruspini_leaf", "leq",
     ),
     "forest": (
-        "MAX_FOREST_VARIABLES", "AssignmentClass", "Forest", "Subforest", "class_key",
-        "class_of_values", "downset", "empty_subforest", "enumerate_forest",
-        "full_subforest", "generating_subforest", "is_ruspini_leaf",
-        "is_ruspini_subforest", "leq", "ruspini_subforest", "truncated_subforest",
-        "two_overlap_subforest",
+        "MAX_FOREST_VARIABLES", "Forest", "Subforest", "downset", "empty_subforest",
+        "enumerate_forest", "full_subforest", "generating_subforest", "is_ruspini_subforest",
+        "ruspini_subforest", "truncated_subforest", "two_overlap_subforest",
     ),
     "semantics": (
         "GINF", "GRID_ORACLE_BUDGET", "Logic", "formula_forest", "grid_tautology_oracle",
@@ -41,10 +44,7 @@ _EXPORTS = {
         "count_2overlap_weak_ruspini", "count_leaves", "count_weak_ruspini",
         "ordered_bell",
     ),
-    "exports": (
-        "class_from_json", "class_to_json", "format_report", "report_to_json",
-        "subforest_to_dot", "subforest_to_json",
-    ),
+    "exports": ("format_report", "report_to_json", "subforest_to_dot", "subforest_to_json"),
 }
 
 _MODULE_OF = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items()

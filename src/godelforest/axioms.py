@@ -17,15 +17,17 @@ import itertools
 import warnings
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .formulas import And, Bot, Formula, Iff, Lhd, Not, Or, Top, Var
+from .syntax import And, Bot, Formula, Iff, Lhd, Not, Or, Top, Var
 from .records import _Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
-    from .forest import AssignmentClass, Subforest
+    from .classes import AssignmentClass
+    from .forest import Subforest
     from .partitions import Partition
 
-# `forest`, `partitions`, `semantics` and `fractions` load inside the functions using them.
+# `classes`, `forest`, `partitions`, `semantics` and `fractions` load inside
+# the functions using them.
 
 
 def conjunction(terms: Sequence[Formula]) -> Formula:
@@ -82,7 +84,7 @@ def axiomatize_partition(p: Partition) -> Formula:
     Unique up to provable equivalence among formulas with the same value-1
     set.  Built from the maximal realized classes alone, so it takes any n.
     """
-    from .forest import _maximal
+    from .classes import _maximal
     from .partitions import realized_classes
 
     return _axiom_of(_maximal(realized_classes(p)))
@@ -164,7 +166,7 @@ def synthesize_partition(classes: Iterable[AssignmentClass]) -> Partition:
     """
     from fractions import Fraction
 
-    from .forest import _maximal, is_ruspini_leaf
+    from .classes import _maximal, is_ruspini_leaf
     from .partitions import Partition, PiecewiseLinearFuzzySet
 
     leaves = _maximal(classes)
@@ -233,8 +235,9 @@ def analyze(p: Partition) -> AnalysisReport:
     4-valued logic proves axiom -> overlap axiom.  Combined: both at once,
     with the proof check run entirely inside the 4-valued logic.
     """
-    from .forest import (_maximal, downset, enumerate_forest, full_subforest, is_ruspini_leaf,
-                         is_ruspini_subforest, leq, truncated_subforest, two_overlap_subforest)
+    from .classes import _maximal, is_ruspini_leaf, leq
+    from .forest import (downset, enumerate_forest, full_subforest, is_ruspini_subforest,
+                         truncated_subforest, two_overlap_subforest)
     from .partitions import check_2_overlapping, check_ruspini_exact, realized_classes
     from .semantics import formula_forest
 

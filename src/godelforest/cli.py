@@ -6,10 +6,20 @@ Exit codes: 0 success, 1 domain error (bad input data, guard violations),
 The grammar is one table, `_COMMANDS`.  Well-formed argv is read from it
 without `argparse`; help, usage errors and all else go to the parser that
 `build_parser` makes from it.  Each subcommand imports what it runs when it
-runs: `count` loads only `counts`, `forest` only `forest`, `records` and
-`exports`, `taut` and `equiv` only `formulas`, `records`, `semantics` and
-`forest`, and `axioms` only `records`, `formulas` and `axioms`.  None of
-these loads `json` or `fractions`.
+runs, so a process compiles no module it does not use:
+
+- `count` loads only `counts`;
+- `forest` only `records`, `forest` and `exports`;
+- `taut` and `equiv` only `records`, `formulas` (the parser), `syntax`,
+  `semantics` and `forest`, and `taut --oracle` adds `grid`;
+- `axioms` only `records`, `syntax` and `axioms`;
+- `classify` only `records`, `classes` and `partitions`;
+- `axiomatize` and `synthesize` only `records`, `syntax`, `axioms`,
+  `classes` and `partitions`;
+- `analyze` those and `forest`, `semantics` and `exports`.
+
+Only `classify`, `axiomatize`, `synthesize` and `analyze` load `json` and
+`fractions`.  No subcommand that reads no formula text loads `formulas`.
 
 A process enters through `entry` (`python -m godelforest.cli` and the
 `godelforest` console script), which runs `main` and then `gc.freeze()`:
@@ -85,8 +95,7 @@ def _cmd_forest(args) -> int:
 def _cmd_classify(args) -> int:
     import json
 
-    from .exports import class_to_json
-    from .forest import class_of_values
+    from .classes import class_of_values, class_to_json
     from .partitions import as_fraction
 
     fields = args.values.split(",")
@@ -116,7 +125,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_axiomatize(args) -> int:
     from .axioms import axiomatize_partition
-    from .formulas import format_formula
+    from .syntax import format_formula
 
     print(format_formula(axiomatize_partition(_load_partition(args.file))))
     return 0
@@ -124,7 +133,7 @@ def _cmd_axiomatize(args) -> int:
 
 def _cmd_axioms(args) -> int:
     from .axioms import overlap_axiom, ruspini_axiom
-    from .formulas import format_formula
+    from .syntax import format_formula
 
     builder = ruspini_axiom if args.kind == "rho" else overlap_axiom
     print(format_formula(builder(args.n)))
@@ -177,8 +186,7 @@ def _cmd_synthesize(args) -> int:
     import json
 
     from .axioms import synthesize_partition
-    from .exports import class_from_json
-    from .forest import _maximal
+    from .classes import _maximal, class_from_json
     from .partitions import partition_to_json
 
     if args.n < 1:

@@ -1,7 +1,10 @@
-"""Serialization: classes, subforests (JSON and DOT), and analysis reports.
+"""Serialization: subforests (JSON and DOT) and analysis reports.
 
 JSON layouts are documented in the README.  DOT output emits one digraph per
-tree so figures of individual trees can be rendered directly.
+tree so figures of individual trees can be rendered directly.  A class's
+JSON form is `classes.class_to_json`; the subforest writers make their text
+from a walk's blocks and build no class, so `forest` exports never load
+`classes`.
 """
 
 from __future__ import annotations
@@ -11,37 +14,15 @@ from io import StringIO
 from itertools import count
 from typing import TYPE_CHECKING, Callable, TextIO
 
-from .forest import AssignmentClass, Subforest, _class
-
 if TYPE_CHECKING:
     from .axioms import AnalysisReport
-
-
-def class_to_json(c: AssignmentClass) -> dict:
-    return {
-        "zero": list(c.zero),
-        "mid": [list(b) for b in c.mid],
-        "one": list(c.one),
-    }
-
-
-def class_from_json(obj: object, n: int) -> AssignmentClass:
-    """Read a class from {"zero": [...], "mid": [[...], ...], "one": [...]}."""
-    if not isinstance(obj, dict):
-        raise ValueError("class JSON must be an object")
-    missing = [key for key in ("zero", "mid", "one") if key not in obj]
-    if missing:
-        raise ValueError(f"class JSON is missing keys: {', '.join(missing)}")
-    zero, mid, one = obj["zero"], obj["mid"], obj["one"]
-    if not (isinstance(zero, list) and isinstance(mid, list) and isinstance(one, list)):
-        raise ValueError("'zero', 'mid', 'one' must be lists")
-    if not all(isinstance(b, list) for b in mid):
-        raise ValueError("'mid' must be a list of lists")
-    return AssignmentClass(n, tuple(zero), tuple(tuple(b) for b in mid), tuple(one))
+    from .forest import Subforest
 
 
 def subforest_to_json(sub: Subforest) -> dict:
     """Nodes in canonical order with parent links by node id."""
+    from .classes import _class, class_to_json
+
     n, nodes = sub.forest.n, []
     for k, up, zero, mid, one in sub.forest.walk(sub.mask):
         c = _class(n, zero, mid, one)
@@ -144,6 +125,8 @@ def subforest_to_dot(sub: Subforest) -> str:
 
 
 def report_to_json(report: AnalysisReport) -> dict:
+    from .classes import class_to_json
+
     def triple(checks: tuple[bool, bool, bool]) -> dict:
         return {"direct": checks[0], "forest": checks[1], "proof": checks[2]}
 

@@ -1,172 +1,28 @@
-"""Assignment classes of Goedel logic and the forests they form.
+"""The forests of assignment classes, held as bitmasks.
 
-An assignment over variables X1..Xn is summarized, up to the order and
-equality pattern of its values, by which variables sit at 0, which sit at 1,
-and the ordered blocks of variables sharing a common value strictly between.
-These summaries form a finite poset: one class lies below another when it is
-obtained by collapsing a top segment of the other's value chain to 1.  The
-poset is a forest (the ancestors of any node form a chain), its roots are the
-Boolean classes, and its downward-closed subsets carry a Goedel algebra.
-
-A forest is held as int bitmasks over node ids numbered in preorder, so every
-subtree is an interval of ids: one mask per depth and one per generator, each
-built by concatenating the masks of smaller trees.  A subforest is one such
-mask: meet is `&`, join is `|`, and implication fills subtree intervals.  The
-classes themselves are built only when asked for.
+The classes over n variables (see `classes`) form a forest F_n.  A forest is
+held as int bitmasks over node ids numbered in preorder, so every subtree is
+an interval of ids: one mask per depth and one per generator, each built by
+concatenating the masks of smaller trees.  A subforest is one such mask:
+meet is `&`, join is `|`, and implication fills subtree intervals.  The
+classes themselves are built only when asked for, so `classes` is imported
+only by the code that ranks or builds them: `Forest.path`,
+`Subforest.members`, `Subforest.leaves` and `is_ruspini_subforest`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .records import _Record
 
 if TYPE_CHECKING:
-    from fractions import Fraction
+    from .classes import AssignmentClass
 
 #: Enumeration guard: forests grow super-exponentially with n.
 MAX_FOREST_VARIABLES = 8
-
-
-class AssignmentClass(_Record):
-    """Order/equality pattern of one assignment to X1..Xn.
-
-    `zero` and `one` hold the variables at 0 and 1; `mid` holds the blocks of
-    equal values in (0, 1), in increasing value order.  Blocks are stored as
-    sorted tuples, so equality and hashing are canonical.
-    """
-
-    __slots__ = __match_args__ = ("n", "zero", "mid", "one")
-    n: int
-    zero: tuple[int, ...]
-    mid: tuple[tuple[int, ...], ...]
-    one: tuple[int, ...]
-
-    def __init__(self, n: int, zero: tuple, mid: tuple, one: tuple) -> None:
-        if type(n) is not int:  # bool too: True is not a count
-            raise ValueError(f"variable count {n!r} is not an integer")
-        if n < 1:
-            raise ValueError("a class needs at least one variable")
-        seen: set[int] = set()
-        for block in (zero, *mid, one):
-            for v in block:
-                if type(v) is not int:  # bool too: JSON true is not X1
-                    raise ValueError(f"variable index {v!r} is not an integer")
-                if not 1 <= v <= n:
-                    raise ValueError(f"variable index {v} out of range 1..{n}")
-                if v in seen:
-                    raise ValueError(f"variable index {v} appears in two blocks")
-                seen.add(v)
-        if len(seen) != n:
-            # The first nine missing indices lie among the first len(seen) + 9.
-            missing = [v for v in range(1, min(n, len(seen) + 9) + 1) if v not in seen][:9]
-            shown = ", ".join(map(str, missing[:8]))
-            end = f", ...] ({n - len(seen)} in all)" if len(missing) > 8 else "]"
-            raise ValueError(f"blocks do not cover variables [{shown}{end}")
-        if any(not b for b in mid):
-            raise ValueError("mid blocks must be nonempty")
-        mid = tuple(tuple(sorted(b)) for b in mid)
-        self.__setstate__((n, tuple(sorted(zero)), mid, tuple(sorted(one))))
-
-    @property
-    def depth(self) -> int:
-        """Height of the chain from this class's root down to it."""
-        return len(self.mid) + 1
-
-    @property
-    def positive_count(self) -> int:
-        """Number of variables with a strictly positive value."""
-        return self.n - len(self.zero)
-
-    def parent(self) -> Optional["AssignmentClass"]:
-        """Immediate predecessor: the top mid block collapses to 1.
-
-        Boolean classes (no mid blocks) are roots and have no parent.
-        """
-        if not self.mid:
-            return None
-        return _class(
-            self.n, self.zero, self.mid[:-1], tuple(sorted(self.one + self.mid[-1]))
-        )
-
-    def representative(self) -> tuple[Fraction, ...]:
-        """Canonical witness: 0 and 1 blocks as written, the i-th of k mid
-        blocks at i/(k+1)."""
-        from fractions import Fraction  # loaded only where a Fraction is made
-        values = [Fraction(0)] * self.n
-        for v in self.one:
-            values[v - 1] = Fraction(1)
-        k = len(self.mid)
-        for i, block in enumerate(self.mid, start=1):
-            for v in block:
-                values[v - 1] = Fraction(i, k + 1)
-        return tuple(values)
-
-    def chain_string(self) -> str:
-        """Human-readable chain, e.g. "0=X1<X2<1" or "0<X1=X2<1"."""
-        zero = "".join([f"=X{v}" for v in self.zero])  # only the zero block ties with 0
-        blocks = ["=".join([f"X{v}" for v in b]) for b in (*self.mid, self.one)]
-        return f"0{zero}<" + "<".join(blocks) + ("=1" if self.one else "1")
-
-    def __str__(self) -> str:
-        return self.chain_string()
-
-
-def class_key(c: AssignmentClass) -> tuple:
-    """Deterministic sort key; classes of one tree sort contiguously."""
-    return (c.zero, c.mid, c.one)
-
-
-def class_of_values(values: Sequence[Fraction | int | str]) -> AssignmentClass:
-    """Class realized by the given variable values (X1 gets values[0]), each
-    an exact rational as `partitions.as_fraction` reads it."""
-    if len(values) == 0:
-        raise ValueError("at least one value is required")
-    from .partitions import as_fraction  # `forest` loads without `partitions`
-    levels: dict[Fraction, list[int]] = {}  # the variables at each value
-    for i, v in enumerate([as_fraction(v) for v in values], start=1):
-        if not 0 <= v <= 1:
-            raise ValueError(f"value for X{i} is outside [0, 1]: {v}")
-        levels.setdefault(v, []).append(i)
-    # Each block lists its variables in increasing order, and no two share one.
-    zero, one = tuple(levels.pop(0, ())), tuple(levels.pop(1, ()))
-    mid = tuple(tuple(levels[v]) for v in sorted(levels))
-    return _class(len(values), zero, mid, one)
-
-
-def leq(a: AssignmentClass, b: AssignmentClass) -> bool:
-    """True when a is b or an ancestor of b (a collapse of b's top blocks)."""
-    if a.n != b.n:
-        raise ValueError(f"classes over {a.n} and {b.n} variables do not compare")
-    if a.zero != b.zero or len(a.mid) > len(b.mid):
-        return False
-    return a.mid == b.mid[: len(a.mid)]
-
-
-def _maximal(classes: Iterable[AssignmentClass]) -> tuple[AssignmentClass, ...]:
-    """The given classes that are no given class's proper ancestor, in
-    `class_key` order: the leaves of their downset, as `Subforest.leaves()`
-    lists them, with no forest built.
-
-    Each class marks its parent chain, which stops at an ancestor already
-    marked: that one's own ancestors are marked too."""
-    given, inner = set(classes), set()
-    for c in given:
-        up = c.parent()
-        while up is not None and up not in inner:
-            inner.add(up)
-            up = up.parent()
-    return tuple(sorted(given - inner, key=class_key))
-
-
-def is_ruspini_leaf(c: AssignmentClass) -> bool:
-    """Maximal element of the Ruspini forest: either exactly one variable at
-    1 and the rest at 0, or no variable at 1 and at least two positive."""
-    if not c.mid and len(c.one) == 1:
-        return True
-    return not c.one and c.positive_count >= 2
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -233,6 +89,8 @@ class Forest:
 
         The root is found by c's zero set, then each mid block is a step to
         the child that splits it off."""
+        from .classes import AssignmentClass
+
         if not isinstance(c, AssignmentClass) or c.n != self.n:
             return None
         i, one = self._roots[c.zero]
@@ -297,21 +155,6 @@ class Forest:
     def __reduce__(self) -> tuple:
         """A copy or unpickled forest is the cached one, so subforests combine."""
         return enumerate_forest, (self.n,)
-
-
-_SET_N, _SET_ZERO, _SET_MID, _SET_ONE = (
-    getattr(AssignmentClass, name).__set__ for name in ("n", "zero", "mid", "one")
-)
-
-
-def _class(n: int, zero: tuple, mid: tuple, one: tuple) -> AssignmentClass:
-    """Class from blocks already in canonical form, without validation."""
-    c = object.__new__(AssignmentClass)
-    _SET_N(c, n)
-    _SET_ZERO(c, zero)
-    _SET_MID(c, mid)
-    _SET_ONE(c, one)
-    return c
 
 
 @lru_cache(maxsize=None)
@@ -430,6 +273,8 @@ class Subforest(_Record):
 
     @property
     def members(self) -> frozenset[AssignmentClass]:
+        from .classes import _class
+
         n = self.forest.n
         return frozenset([_class(n, zero, mid, one)
                           for _, _, zero, mid, one in self.forest.walk(self.mask)])
@@ -437,6 +282,8 @@ class Subforest(_Record):
     def leaves(self) -> tuple[AssignmentClass, ...]:
         """Maximal elements (members that are no member's parent), in
         canonical order."""
+        from .classes import _class
+
         walk, n = list(self.forest.walk(self.mask)), self.forest.n
         inner = {w[1] for w in walk}
         return tuple([_class(n, zero, mid, one)
@@ -513,6 +360,8 @@ def generating_subforest(i: int, forest: Forest) -> Subforest:
 def is_ruspini_subforest(sub: Subforest) -> bool:
     """Nonempty, inside the Ruspini forest, with every maximal element a
     maximal element of the Ruspini forest."""
+    from .classes import is_ruspini_leaf
+
     if not sub.mask or sub.mask & ~sub.forest.ruspini:
         return False
     return all(is_ruspini_leaf(c) for c in sub.leaves())

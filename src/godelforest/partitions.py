@@ -13,18 +13,13 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .forest import (
-    AssignmentClass,
-    Subforest,
-    _maximal,
-    class_of_values,
-    downset,
-    enumerate_forest,
-    is_ruspini_leaf,
-)
+from .classes import AssignmentClass, _maximal, class_of_values, is_ruspini_leaf
 from .records import _Record
+
+if TYPE_CHECKING:
+    from .forest import Subforest
 
 RationalLike = Union[Fraction, int, str]
 
@@ -254,6 +249,8 @@ def realized_classes(p: Partition) -> frozenset[AssignmentClass]:
 
 def partition_forest(p: Partition) -> Subforest:
     """Downset of the realized classes inside the full forest."""
+    from .forest import downset, enumerate_forest
+
     forest = enumerate_forest(p.n)
     return downset(forest, realized_classes(p))
 

@@ -5,21 +5,26 @@ witnesses it takes value 1.  Tautology in the infinite-valued logic (at a
 stated variable bound) means that subforest is the whole forest; tautology in
 the t-valued logic means it covers the height-(t-1) truncation.  An
 exhaustive evaluation over the t-valued grid, on packed level words and with
-no forest code, serves as an independent oracle.  Both evaluations hand
-`formulas.run` their own meet, join and residuum; the abbreviations ~, <->
+no forest code, serves as an independent oracle; its blocks are `grid`'s,
+loaded only when the oracle evaluates a grid.  Both evaluations hand
+`syntax.run` their own meet, join and residuum; the abbreviations ~, <->
 and <| are `run`'s, shared by both and checked against a node-by-node
 reference evaluator in the tests.
+
+A t too long for Python's int-to-str conversion (more than
+`sys.get_int_max_str_digits()` digits, 4300 by default) gets this module's
+own messages: `parse_logic` and `str(Logic(t))` refuse it, and the grid
+oracle's budget message names it by its length.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
+import sys
 from typing import Optional
 
-from .formulas import And, Formula, Iff, Implies, Or, eval_formula, program, run
 from .forest import Forest, Subforest, enumerate_forest
 from .records import _Record
+from .syntax import And, Formula, Iff, Implies, Or, eval_formula, program, run
 
 #: Assignments the grid oracle is willing to enumerate.
 GRID_ORACLE_BUDGET = 10**6
@@ -35,7 +40,7 @@ class Logic(_Record):
         if t is not None and type(t) is not int:  # bool too: True is not a count
             raise ValueError(f"truth-value count {t!r} is not an integer")
         if t is not None and t < 2:
-            raise ValueError(f"a finite-valued logic needs t >= 2, got {t}")
+            raise ValueError(f"a finite-valued logic needs t >= 2, got {_decimal(t)}")
         object.__setattr__(self, "t", t)
 
     @property
@@ -43,10 +48,27 @@ class Logic(_Record):
         return self.t is not None
 
     def __str__(self) -> str:
-        return "ginf" if self.t is None else f"g{self.t}"
+        """The name `parse_logic` reads; a t it would refuse is refused here."""
+        if self.t is None:
+            return "ginf"
+        try:
+            return f"g{self.t}"
+        except ValueError:  # past the int-to-str limit
+            raise ValueError(
+                f"truth-value count is past the limit of {sys.get_int_max_str_digits()} digits"
+            ) from None
 
 
 GINF = Logic()
+
+
+def _decimal(k: int) -> str:
+    """k in decimal; a note of its length where `str(k)` would raise, past
+    Python's limit on the digits of an int-to-str conversion."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
 
 
 def parse_logic(text: str) -> Logic:
@@ -55,7 +77,14 @@ def parse_logic(text: str) -> Logic:
     if name == "ginf":
         return GINF
     if name.startswith("g") and name[1:].isdecimal():
-        return Logic(int(name[1:]))
+        try:
+            t = int(name[1:])
+        except ValueError:  # past the int-to-str limit
+            raise ValueError(
+                f"truth-value count of {len(name) - 1} digits is past the limit of "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
+        return Logic(t)
     raise ValueError(f"unknown logic {text!r}; use 'ginf' or 'g<t>' such as 'g4'")
 
 
@@ -95,125 +124,29 @@ def grid_tautology_oracle(f: Formula, n: int, t: int) -> bool:
 
     Goedel connectives depend only on the order of values, so the value
     k/(t-1) is handled as its level k.  The grid is cut into blocks of at
-    most _GRID_BLOCK points, in itertools.product order, and each formula
-    node's levels at all points of a block are packed into one int, one
-    field per point (see _GridFrame).  The first failing block ends the
-    check.
+    most `grid._GRID_BLOCK` points, in itertools.product order, and each
+    formula node's levels at all points of a block are packed into one int,
+    one field per point (see `grid._GridFrame`).  The first failing block
+    ends the check.
     """
     if type(n) is not int or n < 0:  # bool too, as Logic refuses a bool t
         raise ValueError(f"the grid needs an integer n >= 0, got {n!r}")
     Logic(t)  # refuses t < 2 and a t that is not an int
     # t >= 2, so t**n >= 2**n, which is over the budget from its bit length
-    # on: such n are refused before a power of millions of digits is built.
-    if n >= GRID_ORACLE_BUDGET.bit_length() or t**n > GRID_ORACLE_BUDGET:
-        raise ValueError(
-            f"grid of {t}**{n} assignments exceeds the budget of {GRID_ORACLE_BUDGET}"
-        )
+    # on, and for n >= 1, t**n >= t: such n and t are refused before a power
+    # of millions of digits is built.
+    budget = GRID_ORACLE_BUDGET
+    if n >= budget.bit_length() or (n and t > budget) or t**n > budget:
+        raise ValueError(f"grid of {_decimal(t)}**{n} assignments exceeds the budget of {budget}")
     if n == 0:  # a variable-free formula takes 0 or 1, whatever t is
         return eval_formula(f, ()) == 1
+    from .grid import _grid_blocks
+
     steps = program(f)
     return all(
         run(steps, words, 0, frame.top, frame.ops) == frame.top
         for words, frame in _grid_blocks(n, t)
     )
-
-
-#: Grid points the oracle evaluates at once.  A formula node's value on a
-#: block is one int of at most this many fields; within the budget a field
-#: takes at most 3 bytes (t <= 10**6 once n >= 1), so at most 12 KB.
-_GRID_BLOCK = 1 << 12
-
-
-class _GridFrame:
-    """What every block with the same number of points shares, including
-    the Goedel algebra of packed levels: meet, join and residuum, field by
-    field, from which `run` derives ~, <-> and <|."""
-
-    __slots__ = ("ones", "top", "shift", "stair", "inner", "ops")
-
-    def __init__(self, ones: int, wb: int, t: int, stair: int, inner: tuple[int, ...]):
-        self.ones = ones  # level 1 in every field
-        self.top = top = (t - 1) * ones  # level t - 1 in every field
-        self.shift = shift = 8 * wb - 1  # the place of the spare top bit in a field
-        self.stair = stair  # chunk variable: levels 0, 1, ..., one per inner sweep
-        self.inner = inner  # the inner variables' words, in variable order
-        high = ones << shift  # the spare bit of every field
-
-        def le(a: int, b: int) -> int:
-            # Low bits set in every field where a <= b: the subtraction borrows
-            # a field's spare bit exactly when a > b, and never crosses fields.
-            d = ((b | high) - a) & high
-            return d - (d >> shift)
-
-        self.ops = {
-            And: lambda a, b: b ^ ((a ^ b) & le(a, b)),
-            Or: lambda a, b: a ^ ((a ^ b) & le(a, b)),
-            Implies: lambda a, b: b ^ ((b ^ top) & le(a, b)),  # top where a <= b, else b
-        }
-
-
-@functools.lru_cache(maxsize=32)
-def _grid_layout(n: int, t: int) -> tuple[int, int, dict[int, _GridFrame]]:
-    """How the t**n grid (n >= 1) is cut into blocks: (inner, chunk, frames).
-
-    The last `inner` variables run through all their levels in every block.
-    The variable before them, the chunk variable, takes `chunk` consecutive
-    levels per block (the last chunk may be shorter), and the variables
-    before it are constant within a block.  `frames` maps a chunk length to
-    what its blocks share.
-    """
-    # Whole bytes per field, with a spare top bit for the comparisons.
-    wb = (t - 1).bit_length() // 8 + 1
-    inner = 0
-    while inner < n - 1 and t ** (inner + 1) <= _GRID_BLOCK:
-        inner += 1
-    sweep = t**inner
-    chunk = min(t, _GRID_BLOCK // sweep)
-    frames = {}
-    for length in {chunk, t % chunk or chunk}:
-        points = length * sweep
-        frames[length] = _GridFrame(
-            _repeat(1, wb, points), wb, t,
-            stair=_staircase(length, sweep, wb),
-            # Variable X(n-j) holds each level for t**j points, in periods
-            # of t**(j+1) points that divide the block.
-            inner=tuple(
-                _repeat(_staircase(t, t**j, wb), wb * t ** (j + 1), points // t ** (j + 1))
-                for j in reversed(range(inner))
-            ),
-        )
-    return inner, chunk, frames
-
-
-def _grid_blocks(n: int, t: int):
-    """Yield (words, frame) for each block of the t**n grid (n >= 1), in
-    itertools.product order; words[i] packs X(i+1)'s levels."""
-    inner, chunk, frames = _grid_layout(n, t)
-    for head in itertools.product(range(t), repeat=n - 1 - inner):
-        for start in range(0, t, chunk):
-            frame = frames[min(chunk, t - start)]
-            words = [level * frame.ones for level in head]
-            words.append(frame.stair + start * frame.ones)
-            words += frame.inner
-            yield words, frame
-
-
-def _repeat(word: int, nbytes: int, times: int) -> int:
-    """`times` copies of the nbytes-byte word, side by side."""
-    return int.from_bytes(word.to_bytes(nbytes, "little") * times, "little")
-
-
-def _staircase(count: int, run: int, wb: int) -> int:
-    """Fields of wb bytes holding level 0 run times, then level 1 run times,
-    ..., up to level count - 1; built by doubling, not field by field."""
-    word, have, width = 0, 1, 8 * wb * run
-    for bit in bin(count)[3:]:
-        word |= (word + have * _repeat(1, wb, have * run)) << (width * have)
-        have *= 2
-        if bit == "1":
-            word |= _repeat(have, wb, run) << (width * have)
-            have += 1
-    return word
 
 
 def proves_equiv(a: Formula, b: Formula, n: int, logic: Logic = GINF) -> bool:

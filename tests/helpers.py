@@ -51,7 +51,7 @@ from godelforest import (
     leq,
     ruspini_subforest,
 )
-from godelforest.forest import _class
+from godelforest.classes import _class
 
 
 def fr(v) -> Fraction:

@@ -60,8 +60,8 @@ from godelforest import (
     two_overlap_subforest,
 )
 from godelforest.axioms import AXIOM_MAX_N
+from godelforest.classes import _maximal
 from godelforest.counts import COUNT_MAX_N
-from godelforest.forest import _maximal
 from helpers import (
     cls,
     fr,
@@ -143,7 +143,7 @@ def test_axiomatize_partition_matches_partition_forest():
 
 
 def test_axiom_and_weak_verdict_build_no_forest(monkeypatch):
-    from godelforest import forest, partitions
+    from godelforest import forest
 
     rng = random.Random(16)
     cases = [make(rng, n) for n in range(1, 7) for make in (random_partition,
@@ -157,8 +157,8 @@ def test_axiom_and_weak_verdict_build_no_forest(monkeypatch):
     def refuse(*args):
         raise AssertionError("a forest was built")
 
-    for module in (forest, partitions):
-        monkeypatch.setattr(module, "enumerate_forest", refuse)
+    # `partition_forest` reads `enumerate_forest` from `forest` when called.
+    monkeypatch.setattr(forest, "enumerate_forest", refuse)
     monkeypatch.setattr(forest.Forest, "__init__", refuse)
     for p, (axiom, weak) in zip(cases, expected):
         assert axiomatize_partition(p) == axiom

@@ -31,8 +31,8 @@ from godelforest import (
     subforest_to_dot,
     subforest_to_json,
 )
+from godelforest.classes import _maximal
 from godelforest.cli import main
-from godelforest.forest import _maximal
 from helpers import cls, reference_forest, triangular_partition
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -77,6 +77,22 @@ def test_logic_names_read_decimal_digits_only(capsys):
         1, "", "error: unknown logic 'g\u00b2'; use 'ginf' or 'g<t>' such as 'g4'\n")
     assert run(capsys, "taut", "--n", "1", "--logic", "g\u0662", "X1 | ~X1") == (
         0, "tautology\n", "")
+
+
+def test_logic_names_past_the_int_to_str_limit_get_one_error_line(capsys):
+    # int() reads at most 4,300 digits by default; a longer t is refused
+    # with the program's message, not Python's, and a t within it is read.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this Python reads ints of any length")
+    digits = "1" * (limit + 700)
+    message = (f"error: truth-value count of {limit + 700} digits is past the limit of "
+               f"{limit} digits\n")
+    assert run(capsys, "taut", "--n", "1", "--logic", "g" + digits, "X1") == (1, "", message)
+    assert run(capsys, "taut", "--n", "1", "--logic", "g" + digits, "--oracle", "X1") == (
+        1, "", message)
+    assert run(capsys, "taut", "--n", "2", "--logic", "g" + "1" * limit,
+               "(X1 -> X2) | (X2 -> X1)") == (0, "tautology\n", "")
 
 
 def test_taut_oracle_flag(capsys):

@@ -31,7 +31,7 @@ from godelforest import (
     Var,
     class_key,
 )
-from godelforest.forest import _maximal
+from godelforest.classes import _maximal
 from helpers import (
     cls,
     downward_chain,

@@ -33,7 +33,8 @@ PUBLIC_NAMES = [
     "two_overlap_subforest",
 ]
 
-SUBMODULES = ["axioms", "counts", "exports", "forest", "formulas", "partitions", "semantics"]
+SUBMODULES = ["axioms", "classes", "counts", "exports", "forest", "formulas", "partitions",
+              "semantics", "syntax"]
 
 
 def run_python(code: str, *args: str) -> str:
@@ -112,14 +113,20 @@ def test_count_loads_only_cli_and_counts():
     assert loaded_modules("count", "--n", "3", "--kind", "weak-ruspini") == {"cli", "counts"}
 
 
+DECISIONS = {"cli", "records", "formulas", "syntax", "semantics", "forest"}
+
+
 @pytest.mark.parametrize("argv", [
     ["taut", "--n", "2", "(X1 -> X2) | (X2 -> X1)"],
     ["taut", "--n", "2", "--logic", "g3", "--oracle", "X1 | ~X1"],
     ["equiv", "--n", "2", "X1 & X2", "X2 & X1"],
 ])
 def test_decisions_load_no_partitions_axioms_or_exports(argv):
-    # Nor `json` or `fractions`: the formula evaluator imports it when called.
-    assert loaded_modules(*argv) == {"cli", "formulas", "semantics", "forest", "records"}
+    # Nor `classes`, `json` or `fractions`: a decision parses its text
+    # (`formulas`) and runs the program (`syntax`) on the forest's masks.
+    # Only the grid oracle loads `grid`.
+    more = {"grid"} if "--oracle" in argv else set()
+    assert loaded_modules(*argv) == DECISIONS | more
 
 
 @pytest.mark.parametrize("argv", [
@@ -128,33 +135,56 @@ def test_decisions_load_no_partitions_axioms_or_exports(argv):
     ["classify", "--values", "0,1/3,1"],
 ])
 def test_forest_and_classify_load_no_semantics_or_axioms(argv):
-    # `forest` writes its JSON itself and makes no Fraction; `classify`
-    # reads rationals and prints the class with `json`.
-    more = {"partitions", "json", "fractions"} if argv[0] == "classify" else set()
-    assert loaded_modules(*argv) == {"cli", "exports", "forest", "records"} | more
+    # `forest` writes its text from node blocks and builds no class, so it
+    # loads no `classes` and makes no Fraction; `classify` builds one class
+    # from rationals and prints it with `json`, with no forest.
+    if argv[0] == "classify":
+        expected = {"cli", "records", "classes", "partitions", "json", "fractions"}
+    else:
+        expected = {"cli", "records", "forest", "exports"}
+    assert loaded_modules(*argv) == expected
 
 
-# `partitions` imports `fractions` as it loads.  Only `analyze` decides a
-# formula, so only it loads `semantics`; the stock axioms load `formulas`
-# and nothing of the forest or partitions.
-PARTITION_AXIOMS = {"cli", "axioms", "formulas", "forest", "partitions", "records", "fractions",
+# `partitions` imports `fractions` as it loads.  Only `analyze` builds a
+# forest and decides a formula, so only it loads `forest`, `semantics` and
+# `exports`; the stock axioms load `syntax` and nothing of the classes or
+# partitions.  None of them reads formula text, so none loads `formulas`.
+PARTITION_AXIOMS = {"cli", "records", "syntax", "axioms", "classes", "partitions", "fractions",
                     "json"}
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["axioms", "--kind", "tau", "--n", "4"], {"cli", "records", "formulas", "axioms"}),
-    (["axioms", "--kind", "rho", "--n", "4"], {"cli", "records", "formulas", "axioms"}),
+    (["axioms", "--kind", "tau", "--n", "4"], {"cli", "records", "syntax", "axioms"}),
+    (["axioms", "--kind", "rho", "--n", "4"], {"cli", "records", "syntax", "axioms"}),
     (["axiomatize", str(DATA / "partitions" / "triangular_triple.json")], PARTITION_AXIOMS),
     (["analyze", str(DATA / "partitions" / "triangular_triple.json")],
-     PARTITION_AXIOMS | {"exports", "semantics"}),
+     PARTITION_AXIOMS | {"forest", "semantics", "exports"}),
     (["analyze", "--json", str(DATA / "partitions" / "step_pair.json")],
-     PARTITION_AXIOMS | {"exports", "semantics"}),
+     PARTITION_AXIOMS | {"forest", "semantics", "exports"}),
     (["synthesize", str(DATA / "leaves" / "ruspini2_pair.json"), "--n", "2", "-o", "{out}"],
-     PARTITION_AXIOMS | {"exports"}),
+     PARTITION_AXIOMS),
 ], ids=["axioms", "axioms-rho", "axiomatize", "analyze", "analyze-json", "synthesize"])
 def test_axiom_subcommands_load_exactly_their_modules(argv, expected, tmp_path):
     argv = [arg.format(out=tmp_path / "p.json") for arg in argv]
     assert loaded_modules(*argv) == expected
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["taut", "--n", "3", "--logic", "g3", "X1 -> X2 -> X3"], {"grid", "classes"}),
+    (["forest", "--n", "2", "--kind", "fnt", "--t", "3", "--format", "json"], {"classes"}),
+    (["analyze", "--json", str(DATA / "partitions" / "triangular_triple.json")],
+     {"formulas", "grid"}),
+    (["axioms", "--kind", "rho", "--n", "3"], {"formulas", "classes", "forest"}),
+    (["synthesize", str(DATA / "leaves" / "ruspini2_pair.json"), "--n", "2", "-o", "{out}"],
+     {"formulas", "forest", "exports"}),
+    (["classify", "--values", "1/2,1/2,0"], {"forest", "exports", "syntax"}),
+], ids=["taut", "forest", "analyze", "axioms", "synthesize", "classify"])
+def test_subcommands_compile_none_of_the_modules_they_do_not_run(argv, absent, tmp_path):
+    # The parser, the grid oracle's blocks and the class code are each a
+    # module of their own, loaded only by the subcommands that run them.
+    argv = [arg.format(out=tmp_path / "p.json") for arg in argv]
+    loaded = loaded_modules(*argv)
+    assert "cli" in loaded and not loaded & absent
 
 
 @pytest.mark.parametrize("argv", [

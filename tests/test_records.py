@@ -39,7 +39,7 @@ from godelforest import (
     ruspini_subforest,
     synthesize_partition,
 )
-from godelforest.forest import _class
+from godelforest.classes import _class
 from helpers import (
     REFERENCE_RECORDS,
     ReferenceAnalysisReport,

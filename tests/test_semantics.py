@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -36,7 +37,7 @@ from godelforest import (
     Subforest,
 )
 from godelforest.formulas import program
-from godelforest.semantics import _GRID_BLOCK, _grid_blocks
+from godelforest.grid import _GRID_BLOCK, _grid_blocks
 from helpers import (
     lin_instance,
     random_dag,
@@ -136,6 +137,48 @@ def test_grid_oracle_refuses_a_large_n_before_computing_the_grid_size(n, t):
         grid_tautology_oracle(Top(), n, t)
     assert time.perf_counter() - start < 1
     assert str(info.value) == f"grid of {t}**{n} assignments exceeds the budget of 1000000"
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default limit on the digits of an int-to-str conversion, set
+    for the test whatever the environment chose."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any length")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_a_t_past_the_int_to_str_limit_gets_the_packages_own_messages(int_str_limit):
+    huge = 10**5000  # str(huge) raises Python's "Exceeds the limit (4300 digits)"
+    refusals = [
+        (lambda: grid_tautology_oracle(Top(), 1, huge),
+         "grid of <more than 4300 digits>**1 assignments exceeds the budget of 1000000"),
+        (lambda: grid_tautology_oracle(Top(), 19, huge),
+         "grid of <more than 4300 digits>**19 assignments exceeds the budget of 1000000"),
+        (lambda: parse_logic("g" + "1" * 5000),
+         "truth-value count of 5000 digits is past the limit of 4300 digits"),
+        (lambda: str(Logic(huge)), "truth-value count is past the limit of 4300 digits"),
+        (lambda: Logic(-huge), "a finite-valued logic needs t >= 2, got <more than 4300 digits>"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    # What has an answer gets it: a logic of any t decides, and a grid of
+    # one point (n = 0) is within the budget.
+    prelinearity = parse_formula("(X1 -> X2) | (X2 -> X1)")
+    assert is_tautology(prelinearity, 2, Logic(huge))
+    assert not is_tautology(parse_formula("X1 | ~X1"), 1, Logic(huge))
+    assert grid_tautology_oracle(Top(), 0, huge) and not grid_tautology_oracle(Bot(), 0, huge)
+    # Within the limit, every text is as before.
+    t = 10**4299
+    assert str(Logic(t)) == "g1" + "0" * 4299
+    assert parse_logic("g" + "1" * 4300) == Logic(int("1" * 4300))
+    with pytest.raises(ValueError, match=f"^grid of {t}\\*\\*1 assignments exceeds"):
+        grid_tautology_oracle(Top(), 1, t)
 
 
 # A bad n or t gets one ValueError line, not a TypeError, an AttributeError,

@@ -36,8 +36,11 @@ Each run also records `cpu_s_per_request`: the CPU seconds, user plus system,
 of the perfbench process and of every process it waited for (the cli
 workload's requests and probes among them), read as `resource.getrusage(
 RUSAGE_CHILDREN)` deltas around the run and divided by its `attempted`.  It
-is summarised per side like the wall metrics.  It includes the run's set-up
-and checking, so it is a cross-check on a wall-time claim, not a bound.
+is summarised per side like the wall metrics.  It counts the whole run, not
+its requests alone: the three set-ups, the speed gauge's slices, the cli
+workload's robustness probes and the checking of every answer.  So it moves
+with those, and it is a cross-check on a wall-time claim, not a claim
+metric or a bound.
 
 Passing one checkout as both --parent and --change is the A/A control: ten
 pairs of the same code give the win counts and median gaps that drift on the
