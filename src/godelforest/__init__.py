@@ -18,8 +18,8 @@ _EXPORTS = {
     ),
     "formulas": ("ParseError", "parse_formula"),
     "classes": (
-        "AssignmentClass", "class_from_json", "class_key", "class_of_values", "class_to_json",
-        "is_ruspini_leaf", "leq",
+        "AssignmentClass", "as_fraction", "class_from_json", "class_key", "class_of_values",
+        "class_to_json", "is_ruspini_leaf", "leq",
     ),
     "forest": (
         "MAX_FOREST_VARIABLES", "Forest", "Subforest", "downset", "empty_subforest",
@@ -31,9 +31,9 @@ _EXPORTS = {
         "is_tautology", "parse_logic", "proves_equiv", "proves_implies",
     ),
     "partitions": (
-        "Partition", "PiecewiseLinearFuzzySet", "as_fraction", "check_2_overlapping",
-        "check_ruspini_exact", "critical_points", "is_weak_ruspini", "partition_forest",
-        "partition_from_json", "partition_to_json", "realized_classes",
+        "Partition", "PiecewiseLinearFuzzySet", "check_2_overlapping", "check_ruspini_exact",
+        "critical_points", "is_weak_ruspini", "partition_forest", "partition_from_json",
+        "partition_to_json", "realized_classes",
     ),
     "axioms": (
         "AnalysisReport", "analyze", "axiomatize_partition", "axiomatize_subforest",

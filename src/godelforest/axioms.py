@@ -18,7 +18,7 @@ import warnings
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .syntax import And, Bot, Formula, Iff, Lhd, Not, Or, Top, Var
-from .records import _Record
+from .records import _Record, _shown
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -98,12 +98,12 @@ AXIOM_MAX_N = {"rho": 360, "tau": 90}
 
 def _check_axiom_budget(kind: str, n: int) -> None:
     if type(n) is not int or n < 1:  # bool too: True is not a count
-        raise ValueError(f"need n >= 1, got {n!r}")
+        raise ValueError(f"need n >= 1, got {_shown(n)}")
     limit = AXIOM_MAX_N[kind]
     if n > limit:
         raise ValueError(
             f"the {kind} axiom supports n <= {limit}: "
-            f"the n = {n} axiom takes too long to build"
+            f"the n = {_shown(n)} axiom takes too long to build"
         )
 
 

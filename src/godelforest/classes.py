@@ -11,16 +11,38 @@ Boolean classes, and its downward-closed subsets carry a Goedel algebra.
 Everything here works on classes alone and builds no forest: a partition's
 classes, their maxima and the Ruspini-leaf test need nothing of `forest`,
 which imports this module only where it ranks classes or builds them.
+The exact-rational reader `as_fraction` lives here too; only `records` is imported.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+import re
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence, Union
 
-from .records import _Record
+from .records import _Record, _shown
 
-if TYPE_CHECKING:
-    from fractions import Fraction
+RationalLike = Union[Fraction, int, str]
+
+#: The documented rational text: an integer or p/q, optionally signed.
+#: `Fraction` alone would also take decimals and exponents, and an exponent
+#: such as 1e-100000000 would take minutes to expand.
+_RATIONAL_TEXT = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
+
+
+def as_fraction(value: RationalLike) -> Fraction:
+    """Exact rational from an int, Fraction, or a "p/q" / integer string
+    (optionally signed, surrounding whitespace allowed)."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):  # JSON true is not 1
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    raise ValueError(f"not an exact rational: {value!r}")
 
 
 class AssignmentClass(_Record):
@@ -48,16 +70,16 @@ class AssignmentClass(_Record):
                 if type(v) is not int:  # bool too: JSON true is not X1
                     raise ValueError(f"variable index {v!r} is not an integer")
                 if not 1 <= v <= n:
-                    raise ValueError(f"variable index {v} out of range 1..{n}")
+                    raise ValueError(f"variable index {_shown(v)} out of range 1..{_shown(n)}")
                 if v in seen:
-                    raise ValueError(f"variable index {v} appears in two blocks")
+                    raise ValueError(f"variable index {_shown(v)} appears in two blocks")
                 seen.add(v)
         if len(seen) != n:
             # The first nine missing indices lie among the first len(seen) + 9.
             missing = [v for v in range(1, min(n, len(seen) + 9) + 1) if v not in seen][:9]
-            shown = ", ".join(map(str, missing[:8]))
-            end = f", ...] ({n - len(seen)} in all)" if len(missing) > 8 else "]"
-            raise ValueError(f"blocks do not cover variables [{shown}{end}")
+            listed = ", ".join(map(str, missing[:8]))
+            end = f", ...] ({_shown(n - len(seen))} in all)" if len(missing) > 8 else "]"
+            raise ValueError(f"blocks do not cover variables [{listed}{end}")
         if any(not b for b in mid):
             raise ValueError("mid blocks must be nonempty")
         mid = tuple(tuple(sorted(b)) for b in mid)
@@ -87,7 +109,6 @@ class AssignmentClass(_Record):
     def representative(self) -> tuple[Fraction, ...]:
         """Canonical witness: 0 and 1 blocks as written, the i-th of k mid
         blocks at i/(k+1)."""
-        from fractions import Fraction  # loaded only where a Fraction is made
         values = [Fraction(0)] * self.n
         for v in self.one:
             values[v - 1] = Fraction(1)
@@ -127,12 +148,11 @@ def class_key(c: AssignmentClass) -> tuple:
     return (c.zero, c.mid, c.one)
 
 
-def class_of_values(values: Sequence[Fraction | int | str]) -> AssignmentClass:
+def class_of_values(values: Sequence[RationalLike]) -> AssignmentClass:
     """Class realized by the given variable values (X1 gets values[0]), each
-    an exact rational as `partitions.as_fraction` reads it."""
+    an exact rational as `as_fraction` reads it."""
     if len(values) == 0:
         raise ValueError("at least one value is required")
-    from .partitions import as_fraction  # `classes` loads without `partitions`
     levels: dict[Fraction, list[int]] = {}  # the variables at each value
     for i, v in enumerate([as_fraction(v) for v in values], start=1):
         if not 0 <= v <= 1:

@@ -13,7 +13,7 @@ runs, so a process compiles no module it does not use:
 - `taut` and `equiv` only `records`, `formulas` (the parser), `syntax`,
   `semantics` and `forest`, and `taut --oracle` adds `grid`;
 - `axioms` only `records`, `syntax` and `axioms`;
-- `classify` only `records`, `classes` and `partitions`;
+- `classify` only `records` and `classes`;
 - `axiomatize` and `synthesize` only `records`, `syntax`, `axioms`,
   `classes` and `partitions`;
 - `analyze` those and `forest`, `semantics` and `exports`.
@@ -96,13 +96,12 @@ def _cmd_classify(args) -> int:
     import json
 
     from .classes import class_of_values, class_to_json
-    from .partitions import as_fraction
 
     fields = args.values.split(",")
     for k, piece in enumerate(fields, start=1):
         if not piece.strip():  # dropping it would renumber the variables after it
             raise ValueError(f"--values field {k} is empty")
-    c = class_of_values([as_fraction(piece) for piece in fields])
+    c = class_of_values(fields)  # it reads each field with `as_fraction`
     print(c.chain_string())
     print(json.dumps(class_to_json(c)))
     return 0
@@ -140,22 +139,25 @@ def _cmd_axioms(args) -> int:
     return 0
 
 
-def _check_n(n: int) -> None:
-    """`taut` and `equiv` take --n >= 0 (0 suits variable-free formulas)."""
-    if n < 0:
-        raise ValueError(f"--n must be >= 0, got {n}")
+def _read_query(args, *texts: str) -> tuple:
+    """The logic of --logic and the formulas of texts, for `taut` and `equiv`.
+    --n must be >= 0 (0 suits variable-free formulas) and cover their variables."""
+    from .formulas import arity, parse_formula
+    from .semantics import parse_logic
+
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
+    logic, formulas = parse_logic(args.logic), [parse_formula(text) for text in texts]
+    if (k := max(map(arity, formulas))) > args.n:
+        uses = "formula uses" if len(texts) == 1 else "formulas use"
+        raise ValueError(f"{uses} X{k} but --n is {args.n}")
+    return logic, *formulas
 
 
 def _cmd_taut(args) -> int:
-    from .formulas import arity, parse_formula
-    from .semantics import grid_tautology_oracle, is_tautology, parse_logic
+    from .semantics import grid_tautology_oracle, is_tautology
 
-    _check_n(args.n)
-    logic = parse_logic(args.logic)
-    formula = parse_formula(args.formula)
-    k = arity(formula)
-    if k > args.n:
-        raise ValueError(f"formula uses X{k} but --n is {args.n}")
+    logic, formula = _read_query(args, args.formula)
     if args.oracle:
         if not logic.is_finite:
             print("error: --oracle needs a finite-valued logic", file=sys.stderr)
@@ -168,17 +170,10 @@ def _cmd_taut(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    from .formulas import arity, parse_formula
-    from .semantics import parse_logic, proves_equiv
+    from .semantics import proves_equiv
 
-    _check_n(args.n)
-    logic = parse_logic(args.logic)
-    a, b = parse_formula(args.first), parse_formula(args.second)
-    k = max(arity(a), arity(b))
-    if k > args.n:
-        raise ValueError(f"formulas use X{k} but --n is {args.n}")
-    verdict = proves_equiv(a, b, args.n, logic)
-    print("equivalent" if verdict else "not equivalent")
+    logic, a, b = _read_query(args, args.first, args.second)
+    print("equivalent" if proves_equiv(a, b, args.n, logic) else "not equivalent")
     return 0
 
 
@@ -217,16 +212,14 @@ def _cmd_count(args) -> int:
     # Counts are printed in full, past Python's default limit on the digits
     # of an int-to-str conversion (4,300); the limit is restored after.
     # Pythons before 3.10.7 have no such limit and no way to query it.
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        print(count)
-        return 0
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         print(count)
     finally:
-        sys.set_int_max_str_digits(limit)
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

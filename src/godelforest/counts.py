@@ -1,9 +1,9 @@
 """Exact counts: forest leaves, weak Ruspini partitions the logic can tell
 apart, and the 2-overlapping subcount.
 
-Each count is a closed formula in n, so nothing here builds a forest or
-imports the rest of the package.  The counts grow doubly exponentially, so
-every function checks one budget table first.
+Each count is a closed formula in n, so nothing here builds a forest, and
+only a refusal imports the package's `records`.  The counts grow doubly
+exponentially, so every function checks one budget table first.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ def ordered_bell(n: int) -> int:
     + (-1)**(n-j) * C(n+1, j+1): O(n) big-int steps and no recursion.
     """
     if type(n) is not int or n < 0:  # bool too: True is not a count
-        raise ValueError(f"need n >= 0, got {n!r}")
+        from .records import _shown  # loaded only to word a refusal
+        raise ValueError(f"need n >= 0, got {_shown(n)}")
     if n:
         _check_count_budget("leaves", n)
     total, c, binom, sign = 0, 1, 1, -1  # c_j, C(n+1, j+1), (-1)**(n-j+1) at j = n
@@ -34,14 +35,14 @@ COUNT_MAX_N = {"leaves": 4000, "weak-ruspini": 8, "overlap2": 850}
 
 
 def _check_count_budget(kind: str, n: int) -> None:
-    if type(n) is not int or n < 1:  # bool too: True is not a count
-        raise ValueError(f"need n >= 1, got {n!r}")
     limit = COUNT_MAX_N[kind]
-    if n > limit:
-        raise ValueError(
-            f"the {kind} count supports n <= {limit}: "
-            f"the n = {n} count takes too long to print"
-        )
+    if type(n) is int and 1 <= n <= limit:  # bool too is refused: True is not a count
+        return
+    from .records import _shown  # loaded only to word a refusal
+    if type(n) is not int or n < 1:
+        raise ValueError(f"need n >= 1, got {_shown(n)}")
+    raise ValueError(f"the {kind} count supports n <= {limit}: "
+                     f"the n = {_shown(n)} count takes too long to print")
 
 
 def count_leaves(n: int) -> int:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .records import _Record
+from .records import _Record, _shown
 
 if TYPE_CHECKING:
     from .classes import AssignmentClass
@@ -143,7 +143,7 @@ class Forest:
     def truncation(self, t: int) -> int:
         """Mask of the height-(t-1) truncation used by t-valued logic."""
         if type(t) is not int or t < 2:  # bool too, as Logic refuses
-            raise ValueError(f"a finite-valued logic needs t >= 2, got {t!r}")
+            raise ValueError(f"a finite-valued logic needs t >= 2, got {_shown(t)}")
         return self.full ^ self._deeper[min(t - 1, self.n + 1)]
 
     def __len__(self) -> int:
@@ -225,7 +225,7 @@ def enumerate_forest(n: int) -> Forest:
     """The full forest over n variables (guarded, n <= 8)."""
     if type(n) is not int or not 1 <= n <= MAX_FOREST_VARIABLES:
         raise ValueError(
-            f"forest enumeration supports 1 <= n <= {MAX_FOREST_VARIABLES}, got {n!r}"
+            f"forest enumeration supports 1 <= n <= {MAX_FOREST_VARIABLES}, got {_shown(n)}"
         )
     return Forest(n)
 
@@ -353,7 +353,7 @@ def truncated_subforest(forest: Forest, t: int) -> Subforest:
 def generating_subforest(i: int, forest: Forest) -> Subforest:
     """Classes with Xi at value 1; the i-th free generator of the algebra."""
     if type(i) is not int or not 1 <= i <= forest.n:  # bool too: True is not X1
-        raise ValueError(f"variable index {i!r} out of range 1..{forest.n}")
+        raise ValueError(f"variable index {_shown(i)} out of range 1..{forest.n}")
     return Subforest._from_mask(forest, forest.generators[i - 1])
 
 

@@ -5,43 +5,21 @@ repeated abscissa encodes a jump, read right-continuously (at x = 1 the last
 value applies).  This keeps every question asked here exactly decidable: the
 classes realized by a family, the pointwise-sum-1 check, and the
 no-three-positive-overlap check all reduce to finitely many exact rational
-evaluations.
+evaluations.  Rationals are read by `classes.as_fraction` (still bound here).
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
-from .classes import AssignmentClass, _maximal, class_of_values, is_ruspini_leaf
-from .records import _Record
+from .classes import (AssignmentClass, RationalLike, _maximal, as_fraction, class_of_values,
+                      is_ruspini_leaf)
+from .records import _Record, _shown
 
 if TYPE_CHECKING:
     from .forest import Subforest
-
-RationalLike = Union[Fraction, int, str]
-
-#: The documented rational text: an integer or p/q, optionally signed.
-#: `Fraction` alone would also take decimals and exponents, and an exponent
-#: such as 1e-100000000 would take minutes to expand.
-_RATIONAL_TEXT = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
-
-
-def as_fraction(value: RationalLike) -> Fraction:
-    """Exact rational from an int, Fraction, or a "p/q" / integer string
-    (optionally signed, surrounding whitespace allowed)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):  # JSON true is not 1
-        return Fraction(value)
-    if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise ValueError(f"not an exact rational: {value!r}")
 
 
 class PiecewiseLinearFuzzySet(_Record):
@@ -181,7 +159,7 @@ def partition_from_json(obj: object) -> Partition:
     partition = Partition(tuple(sets))
     if "n" in obj and obj["n"] != partition.n:
         raise ValueError(
-            f"'n' is {obj['n']} but {partition.n} sets were given"
+            f"'n' is {_shown(obj['n'])} but {partition.n} sets were given"
         )
     return partition
 

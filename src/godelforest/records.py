@@ -1,7 +1,16 @@
-"""The frozen record base of every value type; it imports nothing of the package."""
+"""The frozen record base of every value type, and `_shown`; it imports nothing of the package."""
 
+import sys
 from operator import attrgetter
 from typing import Iterable
+
+
+def _shown(value: object) -> str:
+    """`repr(value)`, or `<more than N digits>` for an int past Python's int-to-str limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
 
 
 class _Record:
@@ -26,7 +35,11 @@ class _Record:
 
     def __repr__(self) -> str:
         # Not a join over a generator: reprs nested in C calls print a quarter less deep.
-        fields = [f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values)]
+        try:
+            fields = [f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values)]
+        except ValueError:  # an int field past the int-to-str limit
+            fields = [f"{k}={_shown(v) if type(v) is int else repr(v)}" for k, v in zip(
+                self.__match_args__, self._values)]
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name: str, value: object) -> None:

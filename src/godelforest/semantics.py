@@ -13,8 +13,8 @@ reference evaluator in the tests.
 
 A t too long for Python's int-to-str conversion (more than
 `sys.get_int_max_str_digits()` digits, 4300 by default) gets this module's
-own messages: `parse_logic` and `str(Logic(t))` refuse it, and the grid
-oracle's budget message names it by its length.
+own messages: `parse_logic` and `str(Logic(t))` refuse it, and the other
+refusals print it with `records._shown`, as the whole package does.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from typing import Optional
 
 from .forest import Forest, Subforest, enumerate_forest
-from .records import _Record
+from .records import _Record, _shown
 from .syntax import And, Formula, Iff, Implies, Or, eval_formula, program, run
 
 #: Assignments the grid oracle is willing to enumerate.
@@ -40,7 +40,7 @@ class Logic(_Record):
         if t is not None and type(t) is not int:  # bool too: True is not a count
             raise ValueError(f"truth-value count {t!r} is not an integer")
         if t is not None and t < 2:
-            raise ValueError(f"a finite-valued logic needs t >= 2, got {_decimal(t)}")
+            raise ValueError(f"a finite-valued logic needs t >= 2, got {_shown(t)}")
         object.__setattr__(self, "t", t)
 
     @property
@@ -60,15 +60,6 @@ class Logic(_Record):
 
 
 GINF = Logic()
-
-
-def _decimal(k: int) -> str:
-    """k in decimal; a note of its length where `str(k)` would raise, past
-    Python's limit on the digits of an int-to-str conversion."""
-    try:
-        return str(k)
-    except ValueError:
-        return f"<more than {sys.get_int_max_str_digits()} digits>"
 
 
 def parse_logic(text: str) -> Logic:
@@ -130,14 +121,16 @@ def grid_tautology_oracle(f: Formula, n: int, t: int) -> bool:
     ends the check.
     """
     if type(n) is not int or n < 0:  # bool too, as Logic refuses a bool t
-        raise ValueError(f"the grid needs an integer n >= 0, got {n!r}")
+        raise ValueError(f"the grid needs an integer n >= 0, got {_shown(n)}")
     Logic(t)  # refuses t < 2 and a t that is not an int
     # t >= 2, so t**n >= 2**n, which is over the budget from its bit length
     # on, and for n >= 1, t**n >= t: such n and t are refused before a power
     # of millions of digits is built.
     budget = GRID_ORACLE_BUDGET
     if n >= budget.bit_length() or (n and t > budget) or t**n > budget:
-        raise ValueError(f"grid of {_decimal(t)}**{n} assignments exceeds the budget of {budget}")
+        raise ValueError(
+            f"grid of {_shown(t)}**{_shown(n)} assignments exceeds the budget of {budget}"
+        )
     if n == 0:  # a variable-free formula takes 0 or 1, whatever t is
         return eval_formula(f, ()) == 1
     from .grid import _grid_blocks

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from .records import _Record
+from .records import _Record, _shown
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -53,7 +53,7 @@ class Var(Formula):
         if type(index) is not int:  # bool too: X1 is not XTrue
             raise ValueError(f"variable index {index!r} is not an integer")
         if index < 1:
-            raise ValueError(f"variable index must be at least 1, got {index}")
+            raise ValueError(f"variable index must be at least 1, got {_shown(index)}")
         object.__setattr__(self, "index", index)
 
 
@@ -202,7 +202,7 @@ def run(steps, variables: Sequence, bot, top, ops: dict):
                 v = variables[args[0]]
             except IndexError:
                 raise ValueError(
-                    f"formula uses X{_arity(steps)} but n is {len(variables)}"
+                    f"formula uses X{_shown(_arity(steps))} but n is {len(variables)}"
                 ) from None
         elif kind is Bot:
             v = bot

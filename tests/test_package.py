@@ -1,5 +1,7 @@
-"""The package's public names and the modules each CLI subcommand loads."""
+"""The package's public names, its module order, and the modules each CLI
+subcommand loads."""
 
+import ast
 import json
 import os
 import pathlib
@@ -66,6 +68,28 @@ def test_every_name_and_submodule_resolves_in_a_fresh_process():
     )
     expected = [f"godelforest.{m}" for m in SUBMODULES]
     assert run_python(code).strip() == f"[] {expected!r}"
+
+
+# The package's modules, each above every module it imports.
+LAYER_ORDER = ["records", "syntax", "formulas", "grid", "classes", "forest", "semantics",
+               "partitions", "axioms", "exports", "counts", "cli"]
+
+
+def test_every_module_imports_only_modules_below_it():
+    # Relative imports anywhere in a module: at module level, in functions
+    # and under TYPE_CHECKING.
+    package = pathlib.Path(godelforest.__file__).parent
+    modules = {path.stem: path for path in package.glob("*.py") if path.stem != "__init__"}
+    assert sorted(modules) == sorted(LAYER_ORDER)
+    upward = []
+    for name, path in modules.items():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [f"{name} -> {target} ({path.name}:{node.lineno})"
+                           for target in targets
+                           if LAYER_ORDER.index(target) >= LAYER_ORDER.index(name)]
+    assert upward == []
 
 
 def test_unknown_names_raise_attribute_error():
@@ -137,15 +161,16 @@ def test_decisions_load_no_partitions_axioms_or_exports(argv):
 def test_forest_and_classify_load_no_semantics_or_axioms(argv):
     # `forest` writes its text from node blocks and builds no class, so it
     # loads no `classes` and makes no Fraction; `classify` builds one class
-    # from rationals and prints it with `json`, with no forest.
+    # from rationals and prints it with `json`, with no forest and no
+    # partition: `classes` reads the rationals itself.
     if argv[0] == "classify":
-        expected = {"cli", "records", "classes", "partitions", "json", "fractions"}
+        expected = {"cli", "records", "classes", "json", "fractions"}
     else:
         expected = {"cli", "records", "forest", "exports"}
     assert loaded_modules(*argv) == expected
 
 
-# `partitions` imports `fractions` as it loads.  Only `analyze` builds a
+# `classes` imports `fractions` as it loads.  Only `analyze` builds a
 # forest and decides a formula, so only it loads `forest`, `semantics` and
 # `exports`; the stock axioms load `syntax` and nothing of the classes or
 # partitions.  None of them reads formula text, so none loads `formulas`.

@@ -10,6 +10,7 @@ import pytest
 from godelforest import (
     GINF,
     And,
+    AssignmentClass,
     Bot,
     Iff,
     Implies,
@@ -19,16 +20,22 @@ from godelforest import (
     Top,
     Var,
     axiomatize_partition,
+    count_2overlap_weak_ruspini,
+    count_leaves,
+    count_weak_ruspini,
     disjunction,
     empty_subforest,
     enumerate_forest,
     eval_formula,
     format_formula,
     formula_forest,
+    generating_subforest,
     grid_tautology_oracle,
     is_tautology,
+    ordered_bell,
     parse_formula,
     parse_logic,
+    partition_from_json,
     proves_equiv,
     proves_implies,
     overlap_axiom,
@@ -179,6 +186,74 @@ def test_a_t_past_the_int_to_str_limit_gets_the_packages_own_messages(int_str_li
     assert parse_logic("g" + "1" * 4300) == Logic(int("1" * 4300))
     with pytest.raises(ValueError, match=f"^grid of {t}\\*\\*1 assignments exceeds"):
         grid_tautology_oracle(Top(), 1, t)
+
+
+_F2 = enumerate_forest(2)
+_ONE_SET = [{"points": [["0", "1"], ["1", "1"]]}]
+
+# Each call that echoes an int k: a name, the call, the sign of k it is
+# refused for, and its text with k's digits at {}: a refusal's message, or a
+# repr.
+INT_ECHOES = [
+    ("enumerate_forest", lambda k: enumerate_forest(k), 1, "forest enumeration supports 1 <= n <= 8, got {}"),
+    ("enumerate_forest", lambda k: enumerate_forest(k), -1, "forest enumeration supports 1 <= n <= 8, got {}"),
+    ("truncation", lambda k: _F2.truncation(k), -1, "a finite-valued logic needs t >= 2, got {}"),
+    ("generating_subforest", lambda k: generating_subforest(k, _F2), 1, "variable index {} out of range 1..2"),
+    ("generating_subforest", lambda k: generating_subforest(k, _F2), -1, "variable index {} out of range 1..2"),
+    ("Var", lambda k: Var(k), -1, "variable index must be at least 1, got {}"),
+    ("AssignmentClass-n", lambda k: AssignmentClass(k, (), (), ()), 1,
+     "blocks do not cover variables [1, 2, 3, 4, 5, 6, 7, 8, ...] ({} in all)"),
+    ("AssignmentClass-range", lambda k: AssignmentClass(k, (0,), (), ()), 1, "variable index 0 out of range 1..{}"),
+    ("AssignmentClass-twice", lambda k: AssignmentClass(k, (k,), (), (k,)), 1, "variable index {} appears in two blocks"),
+    ("AssignmentClass-index", lambda k: AssignmentClass(2, (k,), (), ()), 1, "variable index {} out of range 1..2"),
+    ("AssignmentClass-mid-index", lambda k: AssignmentClass(2, (), ((k,),), ()), -1, "variable index {} out of range 1..2"),
+    ("grid-n", lambda k: grid_tautology_oracle(Top(), k, 3), -1, "the grid needs an integer n >= 0, got {}"),
+    ("grid-n", lambda k: grid_tautology_oracle(Top(), k, 3), 1,
+     "grid of 3**{} assignments exceeds the budget of 1000000"),
+    ("is_tautology", lambda k: is_tautology(Var(k), 3), 1, "formula uses X{} but n is 3"),
+    ("ruspini_axiom", lambda k: ruspini_axiom(k), 1,
+     "the rho axiom supports n <= 360: the n = {} axiom takes too long to build"),
+    ("ruspini_axiom", lambda k: ruspini_axiom(k), -1, "need n >= 1, got {}"),
+    ("overlap_axiom", lambda k: overlap_axiom(k), 1,
+     "the tau axiom supports n <= 90: the n = {} axiom takes too long to build"),
+    ("overlap_axiom", lambda k: overlap_axiom(k), -1, "need n >= 1, got {}"),
+    ("ordered_bell", lambda k: ordered_bell(k), 1,
+     "the leaves count supports n <= 4000: the n = {} count takes too long to print"),
+    ("ordered_bell", lambda k: ordered_bell(k), -1, "need n >= 0, got {}"),
+    ("count_leaves", lambda k: count_leaves(k), 1,
+     "the leaves count supports n <= 4000: the n = {} count takes too long to print"),
+    ("count_leaves", lambda k: count_leaves(k), -1, "need n >= 1, got {}"),
+    ("count_weak_ruspini", lambda k: count_weak_ruspini(k), 1,
+     "the weak-ruspini count supports n <= 8: the n = {} count takes too long to print"),
+    ("count_weak_ruspini", lambda k: count_weak_ruspini(k), -1, "need n >= 1, got {}"),
+    ("count_2overlap_weak_ruspini", lambda k: count_2overlap_weak_ruspini(k), 1,
+     "the overlap2 count supports n <= 850: the n = {} count takes too long to print"),
+    ("count_2overlap_weak_ruspini", lambda k: count_2overlap_weak_ruspini(k), -1, "need n >= 1, got {}"),
+    ("partition_from_json", lambda k: partition_from_json({"n": k, "sets": _ONE_SET}), 1,
+     "'n' is {} but 1 sets were given"),
+    ("repr-Logic", lambda k: repr(Logic(k)), 1, "Logic(t={})"),
+    ("repr-Var", lambda k: repr(Not(Var(k))), 1, "Not(child=Var(index={}))"),
+]
+
+
+def _text(call, k) -> str:
+    try:
+        return call(k)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("call, sign, text", [
+    pytest.param(*entry, id=f"{name}{'+' if entry[1] > 0 else '-'}")
+    for name, *entry in INT_ECHOES])
+def test_ints_past_the_int_to_str_limit_get_the_packages_own_line(int_str_limit, call, sign,
+                                                                   text):
+    start = time.perf_counter()
+    assert _text(call, sign * 10**5000) == text.format("<more than 4300 digits>")
+    assert time.perf_counter() - start < 1
+    # An int of 4300 digits, the longest the limit converts, is shown in full.
+    k = sign * 10**4299
+    assert _text(call, k) == text.format(k)
 
 
 # A bad n or t gets one ValueError line, not a TypeError, an AttributeError,
