@@ -17,6 +17,7 @@ The exact-rational reader `as_fraction` lives here too; only `records` is import
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -32,12 +33,20 @@ _RATIONAL_TEXT = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Exact rational from an int, Fraction, or a "p/q" / integer string
-    (optionally signed, surrounding whitespace allowed)."""
+    (optionally signed, surrounding whitespace allowed).  A text part with
+    more digits than `sys.get_int_max_str_digits()` is refused unread."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):  # JSON true is not 1
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
+        if len(value) > 640:  # int() converts 640 digits under any limit Python allows
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            num, _, den = value.strip().lstrip("+-").partition("/")
+            for part, digits in (("numerator" if den else "integer", num), ("denominator", den)):
+                if 0 < limit < len(digits):
+                    raise ValueError(
+                        f"{part} of {len(digits)} digits is past the limit of {limit} digits")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -6,13 +6,20 @@ value applies).  This keeps every question asked here exactly decidable: the
 classes realized by a family, the pointwise-sum-1 check, and the
 no-three-positive-overlap check all reduce to finitely many exact rational
 evaluations.  Rationals are read by `classes.as_fraction` (still bound here).
+
+`critical_points` merges the breakpoints into one grid and reads every
+set's ends on each cell with one cursor per set, so it walks each set once.
+`value_at` and `left_limit` scan a set from its first point on every call;
+`realized_classes` samples through them at each critical point and cell
+midpoint, and `check_ruspini_exact` at each breakpoint, so those stay
+quadratic in the breakpoints.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .classes import (AssignmentClass, RationalLike, _maximal, as_fraction, class_of_values,
                       is_ruspini_leaf)
@@ -196,14 +203,36 @@ def _add_crossing(
         crit.add(a + s * (b - a))
 
 
+def _cell_ends(p: Partition, grid: list[Fraction]) -> Iterator[tuple[Fraction, Fraction, list]]:
+    """For each cell [a, b) of consecutive grid points: a, b, and every
+    set's value at a (read right-continuously) with its left limit at b.
+
+    The grid must hold every breakpoint, so each cell lies inside one piece
+    of each set: one cursor per set walks its points once over the grid."""
+    cursors = [0] * p.n
+    for a, b in itertools.pairwise(grid):
+        ends = []
+        for k, f in enumerate(p.sets):
+            pts, j = f.points, cursors[k]
+            # The cursor's next point is at a or past it (it was past the
+            # previous cell's start), so `<= a` here is `== a`.
+            while pts[j + 1][0] == a:
+                j += 1
+            cursors[k] = j
+            (ax, ay), (bx, by) = pts[j], pts[j + 1]
+            # At a jump pts[j] is the last point at a, pts[j + 1] the first at b.
+            ends.append((ay if ax == a else ay + (by - ay) * (a - ax) / (bx - ax),
+                         by if bx == b else ay + (by - ay) * (b - ax) / (bx - ax)))
+        yield a, b, ends
+
+
 def critical_points(p: Partition) -> tuple[Fraction, ...]:
     """All abscissae where the realized class can change: breakpoints plus
     every solution of f_i = f_j, f_i = 0, f_i = 1 inside a linear piece."""
     grid = sorted({x for f in p.sets for x in f.breakpoints()})
     crit: set[Fraction] = set(grid)
     zero, one = Fraction(0), Fraction(1)
-    for a, b in itertools.pairwise(grid):
-        ends = [(f.value_at(a), f.left_limit(b)) for f in p.sets]
+    for a, b, ends in _cell_ends(p, grid):
         for ya, yb in ends:
             _add_crossing(crit, a, b, ya, yb, zero, zero)
             _add_crossing(crit, a, b, ya, yb, one, one)

@@ -246,7 +246,11 @@ def format_formula(f: Formula) -> str:
         if kind is _Piece:
             pieces.append(item)
         elif _PREC.get(kind) == 5:
-            pieces.append(f"X{item.index}" if kind is Var else _TEXT[kind])
+            try:
+                pieces.append(f"X{item.index}" if kind is Var else _TEXT[kind])
+            except ValueError:  # an index past the int-to-str limit
+                raise ValueError(
+                    f"variable index {_shown(item.index)} is too long to print") from None
         elif kind is Not:
             stack += _wrapped(item.child, _PREC.get(type(item.child), 0) < 4)
             pieces.append("~")

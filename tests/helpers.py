@@ -52,6 +52,7 @@ from godelforest import (
     ruspini_subforest,
 )
 from godelforest.classes import _class
+from godelforest.partitions import _add_crossing
 
 
 def fr(v) -> Fraction:
@@ -184,6 +185,23 @@ def random_exact_partition(rng: random.Random, n: int) -> Partition:
             (Fraction(x, 6), Fraction(col[i], 4)) for x, col in zip(xs, columns)))
         for i in range(n)
     ))
+
+
+def reference_critical_points(p: Partition) -> tuple[Fraction, ...]:
+    """`critical_points` read per cell: every set's `value_at(a)` and
+    `left_limit(b)` at each cell [a, b) of the merged breakpoints, each a
+    scan of the set's points from the first."""
+    grid = sorted({x for f in p.sets for x in f.breakpoints()})
+    crit: set[Fraction] = set(grid)
+    zero, one = Fraction(0), Fraction(1)
+    for a, b in itertools.pairwise(grid):
+        ends = [(f.value_at(a), f.left_limit(b)) for f in p.sets]
+        for ya, yb in ends:
+            _add_crossing(crit, a, b, ya, yb, zero, zero)
+            _add_crossing(crit, a, b, ya, yb, one, one)
+        for (ya, yb), (ta, tb) in itertools.combinations(ends, 2):
+            _add_crossing(crit, a, b, ya, yb, ta, tb)
+    return tuple(sorted(crit))
 
 
 def triangular_partition(k: int) -> Partition:

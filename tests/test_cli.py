@@ -431,6 +431,20 @@ def test_partition_rationals_are_not_booleans(tmp_path, capsys, points, shown):
     assert err == f"error: set 'f1', point {point}: not an exact rational: {shown}\n"
 
 
+def test_a_rational_past_the_int_to_str_limit_is_one_line(tmp_path, capsys, int_str_limit):
+    # Python's own "Exceeds the limit (4300 digits)" text once ended these lines.
+    long = "1/" + "1" * 5000
+    code, out, err = run(capsys, "classify", "--values", f"0,{long}")
+    assert (code, out, err) == (
+        1, "", "error: denominator of 5000 digits is past the limit of 4300 digits\n")
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"sets": [{{"points": [["0", "{long}"], ["1", "1"]]}}]}}',
+                    encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, err) == (1, "", "error: set 'f1', point 0: denominator of 5000 digits "
+                                       "is past the limit of 4300 digits\n")
+
+
 def test_synthesize_and_analyze_at_n8_build_no_forest_of_classes(tmp_path):
     # Two leaves of the 2,183,339-node forest: only their downset is ranked
     # and walked, so neither run builds the forest's classes.

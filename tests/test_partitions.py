@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from godelforest import (
     realized_classes,
     two_overlap_subforest,
 )
-from helpers import cls, fr, random_exact_partition, random_partition, walked
+from helpers import (cls, fr, random_exact_partition, random_partition, reference_critical_points,
+                     walked)
 
 
 def pl(name, *pts):
@@ -212,6 +214,70 @@ def test_realized_matches_dense_grid_oracle_on_samples():
         assert oracle == set(realized_classes(p))
 
 
+# Partitions whose cells the cursor must read as `value_at` and `left_limit` do.
+_CELL_CASES = [
+    # jumps at 0 and at 1, shared by both sets
+    Partition((pl("f1", ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")),
+               pl("f2", ("0", "1"), ("0", "0"), ("1", "1"), ("1", "0")))),
+    # a jump at a shared inner abscissa, and one set's jump inside the other's piece
+    Partition((pl("f1", ("0", "1"), ("1/2", "1"), ("1/2", "0"), ("1", "0")),
+               pl("f2", ("0", "0"), ("1/2", "0"), ("1/2", "1"), ("1", "1")),
+               pl("f3", ("0", "0"), ("1/4", "1/2"), ("1/4", "1"), ("1", "1/3")))),
+    # distinct breakpoints: every cell end of one set is inside the other's piece
+    Partition((pl("f1", ("0", "0"), ("1/3", "1"), ("1", "0")),
+               pl("f2", ("0", "1"), ("2/3", "0"), ("1", "1")))),
+    # tangent to 1 and to 0 at a breakpoint, and lying along 0
+    Partition((pl("f1", ("0", "1/2"), ("1/2", "1"), ("1", "1/2")),
+               pl("f2", ("0", "1/2"), ("1/2", "0"), ("1", "1/2")),
+               pl("f3", ("0", "0"), ("1/3", "0"), ("2/3", "1/2"), ("1", "0")))),
+    # constant and equal sets
+    Partition((constant("f1", "1/2"), constant("f2", "1/2"), constant("f3", "0"),
+               pl("f4", ("0", "0"), ("1", "1")), pl("f5", ("0", "0"), ("1", "1")))),
+]
+
+
+def _edge_partition(rng, n):
+    """n sets on grids of sixths or eighths, so breakpoints are shared or
+    distinct, with a jump possible at any abscissa, 0 and 1 among them.
+    Some sets are constant, some take only 0, 1/2 and 1 (tangent to 0 or 1
+    at a breakpoint, or lying along it), and some repeat an earlier set."""
+    sets = []
+    for i in range(1, n + 1):
+        kind = rng.random()
+        if sets and kind < 0.15:
+            points = rng.choice(sets).points
+        elif kind < 0.3:
+            value = Fraction(rng.randint(0, 4), 4)
+            points = ((0, value), (1, value))
+        else:
+            den = rng.choice((6, 8))
+            inner = sorted(rng.sample(range(1, den), rng.randint(0, 4)))
+            xs = [x for x in (0, *inner, den) for _ in range(rng.choice((1, 1, 2)))]
+            ys = [Fraction(k, 4) for k in range(5)] if kind > 0.5 else [0, Fraction(1, 2), 1]
+            points = tuple((Fraction(x, den), rng.choice(ys)) for x in xs)
+        sets.append(PiecewiseLinearFuzzySet(f"f{i}", points))
+    return Partition(tuple(sets))
+
+
+@pytest.mark.parametrize("build", [random_partition, random_exact_partition, _edge_partition])
+def test_critical_points_match_the_per_cell_reference(build):
+    rng = random.Random(f"cells:{build.__name__}")
+    cases = [build(rng, n) for n in (1, 2, 3, 4) for _ in range(100)]
+    for p in cases + _CELL_CASES:
+        assert critical_points(p) == reference_critical_points(p), p
+
+
+def test_critical_points_scan_no_set_per_cell(monkeypatch):
+    expected = [reference_critical_points(p) for p in _CELL_CASES]
+
+    def scan(self, x):
+        raise AssertionError("a set was scanned from its first point")
+
+    monkeypatch.setattr(PiecewiseLinearFuzzySet, "value_at", scan)
+    monkeypatch.setattr(PiecewiseLinearFuzzySet, "left_limit", scan)
+    assert [critical_points(p) for p in _CELL_CASES] == expected
+
+
 def test_check_ruspini_exact(complementary_pair):
     assert check_ruspini_exact(complementary_pair)
     assert not check_ruspini_exact(Partition((constant("f1", "1"), constant("f2", "1"))))
@@ -351,6 +417,32 @@ def test_as_fraction_takes_only_integers_and_p_over_q():
         partition_from_json({"sets": [{"points": [["0", "1"], ["1", True]]}]})
     with pytest.raises(ValueError, match="not an exact rational: False"):
         PiecewiseLinearFuzzySet("f1", ((False, 1), (1, 1)))
+
+
+def test_as_fraction_refuses_a_part_past_the_int_to_str_limit(int_str_limit):
+    # Fraction's int() would raise Python's "Exceeds the limit (4300 digits)".
+    long = "1" * 5000
+    for text, message in [
+        ("1/" + long, "denominator of 5000 digits"), (long, "integer of 5000 digits"),
+        (f" -{long}/3 ", "numerator of 5000 digits"), (f"{long}/{long}", "numerator of 5000 digits"),
+        ("0" * 4300 + "1", "integer of 4301 digits"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            as_fraction(text)
+        assert str(caught.value) == f"{message} is past the limit of 4300 digits"
+    with pytest.raises(ValueError) as caught:
+        partition_from_json({"sets": [{"points": [["0", "1"], ["1", "1/" + long]]}]})
+    assert str(caught.value) == ("set 'f1', point 1: denominator of 5000 digits is past the "
+                                 "limit of 4300 digits")
+    # Within the limit, or with no limit, the text is read.
+    assert as_fraction("1" * 4300 + "/" + "3" * 4300) == Fraction(1, 3)
+    sys.set_int_max_str_digits(0)
+    assert as_fraction("1/" + long) == Fraction(1, int(long))
+    # The lowest limit Python allows: a part of 641 digits is past it.
+    sys.set_int_max_str_digits(640)
+    assert as_fraction("1" * 640) == int("1" * 640)
+    with pytest.raises(ValueError, match="^integer of 641 digits is past the limit of 640 digits$"):
+        as_fraction("1" * 641)
 
 
 # Texts that make a valid partition and texts that must be refused.
