@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .records import _Record, _shown
+from .records import _Record, _printed, _shown
 
 RationalLike = Union[Fraction, int, str]
 
@@ -41,17 +41,33 @@ def as_fraction(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
         if len(value) > 640:  # int() converts 640 digits under any limit Python allows
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
             num, _, den = value.strip().lstrip("+-").partition("/")
-            for part, digits in (("numerator" if den else "integer", num), ("denominator", den)):
-                if 0 < limit < len(digits):
-                    raise ValueError(
-                        f"{part} of {len(digits)} digits is past the limit of {limit} digits")
+            refusal = _past_the_limit(len(num), len(den))
+            if refusal:
+                raise ValueError(refusal)
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"not an exact rational: {value!r}")
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of n >= 0 (none for 0), counted without converting n to text."""
+    d = n.bit_length() * 1233 >> 12  # 1233 / 4096 < log10(2): at most the count
+    while n >= 10**d:
+        d += 1
+    return d
+
+
+def _past_the_limit(num: int, den: int) -> Optional[str]:
+    """`as_fraction`'s refusal of a numerator of `num` digits or a denominator
+    of `den` (0 for an integer) past Python's int-to-str limit, or None."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for part, digits in (("numerator" if den else "integer", num), ("denominator", den)):
+        if 0 < limit < digits:
+            return f"{part} of {digits} digits is past the limit of {limit} digits"
+    return None
 
 
 class AssignmentClass(_Record):
@@ -165,7 +181,7 @@ def class_of_values(values: Sequence[RationalLike]) -> AssignmentClass:
     levels: dict[Fraction, list[int]] = {}  # the variables at each value
     for i, v in enumerate([as_fraction(v) for v in values], start=1):
         if not 0 <= v <= 1:
-            raise ValueError(f"value for X{i} is outside [0, 1]: {v}")
+            raise ValueError(f"value for X{i} is outside [0, 1]: {_printed(v)}")
         levels.setdefault(v, []).append(i)
     # Each block lists its variables in increasing order, and no two share one.
     zero, one = tuple(levels.pop(0, ())), tuple(levels.pop(1, ()))

@@ -7,12 +7,12 @@ classes realized by a family, the pointwise-sum-1 check, and the
 no-three-positive-overlap check all reduce to finitely many exact rational
 evaluations.  Rationals are read by `classes.as_fraction` (still bound here).
 
-`critical_points` merges the breakpoints into one grid and reads every
-set's ends on each cell with one cursor per set, so it walks each set once.
-`value_at` and `left_limit` scan a set from its first point on every call;
-`realized_classes` samples through them at each critical point and cell
-midpoint, and `check_ruspini_exact` at each breakpoint, so those stay
-quadratic in the breakpoints.
+`_cell_ends` merges the breakpoints into one grid and reads every set's ends
+on each cell with one cursor per set, so it walks each set once; both
+`critical_points` and `check_ruspini_exact` read the cells from it.
+`value_at` scans a set from its first point on every call, and
+`realized_classes` samples through it at each critical point and cell
+midpoint, so that sampling stays quadratic in the breakpoints.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .classes import (AssignmentClass, RationalLike, _maximal, as_fraction, class_of_values,
-                      is_ruspini_leaf)
-from .records import _Record, _shown
+from .classes import (AssignmentClass, RationalLike, _digits, _maximal, _past_the_limit,
+                      as_fraction, class_of_values, is_ruspini_leaf)
+from .records import _Record, _printed, _shown
 
 if TYPE_CHECKING:
     from .forest import Subforest
@@ -47,23 +47,22 @@ class PiecewiseLinearFuzzySet(_Record):
             raise ValueError(f"set {self.name!r}: needs at least two points")
         for k, (x, y) in enumerate(pts):
             if not 0 <= x <= 1:
-                raise ValueError(f"set {self.name!r}, point {k}: abscissa {x} outside [0, 1]")
+                raise ValueError(
+                    f"set {self.name!r}, point {k}: abscissa {_printed(x)} outside [0, 1]")
             if not 0 <= y <= 1:
-                raise ValueError(f"set {self.name!r}, point {k}: value {y} outside [0, 1]")
+                raise ValueError(
+                    f"set {self.name!r}, point {k}: value {_printed(y)} outside [0, 1]")
         if pts[0][0] != 0:
             raise ValueError(f"set {self.name!r}, point 0: first abscissa must be 0")
         if pts[-1][0] != 1:
             raise ValueError(f"set {self.name!r}, point {len(pts) - 1}: last abscissa must be 1")
         for k in range(1, len(pts)):
             if pts[k][0] < pts[k - 1][0]:
-                raise ValueError(
-                    f"set {self.name!r}, point {k}: abscissae must be nondecreasing"
-                )
+                raise ValueError(f"set {self.name!r}, point {k}: abscissae must be nondecreasing")
         for k, (x, _) in enumerate(pts[2:]):  # sorted: a third point at x is two on from k
             if x == pts[k][0]:
-                raise ValueError(
-                    f"set {self.name!r}, point {k}: abscissa {x} appears more than twice"
-                )
+                raise ValueError(f"set {self.name!r}, point {k}: abscissa {_printed(x)} "
+                                 "appears more than twice")
 
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Distinct abscissae, ascending."""
@@ -74,7 +73,7 @@ class PiecewiseLinearFuzzySet(_Record):
         (at x = 1, the final value)."""
         x = as_fraction(x)
         if not 0 <= x <= 1:
-            raise ValueError(f"abscissa {x} outside [0, 1]")
+            raise ValueError(f"abscissa {_printed(x)} outside [0, 1]")
         hit = None
         for px, py in self.points:
             if px == x:
@@ -87,18 +86,6 @@ class PiecewiseLinearFuzzySet(_Record):
             if ax < x < bx:
                 return ay + (by - ay) * (x - ax) / (bx - ax)
         raise AssertionError("unreachable: breakpoints cover [0, 1]")
-
-    def left_limit(self, x: RationalLike) -> Fraction:
-        """Limit from the left at x > 0 (equals value_at away from jumps)."""
-        x = as_fraction(x)
-        if not 0 < x <= 1:
-            raise ValueError(f"left limit needs an abscissa in (0, 1], got {x}")
-        for px, py in self.points:
-            if px == x:
-                return py
-            if px > x:
-                break
-        return self.value_at(x)
 
 
 class Partition(_Record):
@@ -165,35 +152,27 @@ def partition_from_json(obj: object) -> Partition:
         sets.append(PiecewiseLinearFuzzySet(name, tuple(points)))
     partition = Partition(tuple(sets))
     if "n" in obj and obj["n"] != partition.n:
-        raise ValueError(
-            f"'n' is {_shown(obj['n'])} but {partition.n} sets were given"
-        )
+        raise ValueError(f"'n' is {_shown(obj['n'])} but {partition.n} sets were given")
     return partition
 
 
 def partition_to_json(p: Partition) -> dict:
-    """Inverse of partition_from_json; rationals rendered as strings."""
-    return {
-        "n": p.n,
-        "sets": [
-            {
-                "name": f.name,
-                "points": [[str(x), str(y)] for x, y in f.points],
-            }
-            for f in p.sets
-        ],
-    }
+    """Inverse of partition_from_json; rationals rendered as strings.  A part
+    past Python's int-to-str limit is refused as partition_from_json refuses its text."""
+    sets = []
+    for f in p.sets:
+        try:
+            points = [[str(x), str(y)] for x, y in f.points]
+        except ValueError:  # Python's refusal: name the point and the part
+            k, refusal = next((k, r) for k, pair in enumerate(f.points) for x in pair if (
+                r := _past_the_limit(_digits(x.numerator), _digits(x.denominator))))
+            raise ValueError(f"set {f.name!r}, point {k}: {refusal}") from None
+        sets.append({"name": f.name, "points": points})
+    return {"n": p.n, "sets": sets}
 
 
-def _add_crossing(
-    crit: set[Fraction],
-    a: Fraction,
-    b: Fraction,
-    ya: Fraction,
-    yb: Fraction,
-    ta: Fraction,
-    tb: Fraction,
-) -> None:
+def _add_crossing(crit: set[Fraction], a: Fraction, b: Fraction,
+                  ya: Fraction, yb: Fraction, ta: Fraction, tb: Fraction) -> None:
     # Solve ya + (yb-ya)s = ta + (tb-ta)s for s in the open cell (0, 1).
     den = (yb - ya) - (tb - ta)
     if den == 0:
@@ -203,12 +182,12 @@ def _add_crossing(
         crit.add(a + s * (b - a))
 
 
-def _cell_ends(p: Partition, grid: list[Fraction]) -> Iterator[tuple[Fraction, Fraction, list]]:
-    """For each cell [a, b) of consecutive grid points: a, b, and every
-    set's value at a (read right-continuously) with its left limit at b.
-
-    The grid must hold every breakpoint, so each cell lies inside one piece
-    of each set: one cursor per set walks its points once over the grid."""
+def _cell_ends(p: Partition) -> Iterator[tuple[Fraction, Fraction, list]]:
+    """For each cell [a, b) of the merged breakpoints of all the sets: a, b,
+    and every set's value at a (read right-continuously) with its left limit
+    at b.  Each cell lies inside one piece of each set, so one cursor per set
+    walks its points once."""
+    grid = sorted({x for f in p.sets for x, _ in f.points})
     cursors = [0] * p.n
     for a, b in itertools.pairwise(grid):
         ends = []
@@ -229,14 +208,12 @@ def _cell_ends(p: Partition, grid: list[Fraction]) -> Iterator[tuple[Fraction, F
 def critical_points(p: Partition) -> tuple[Fraction, ...]:
     """All abscissae where the realized class can change: breakpoints plus
     every solution of f_i = f_j, f_i = 0, f_i = 1 inside a linear piece."""
-    grid = sorted({x for f in p.sets for x in f.breakpoints()})
-    crit: set[Fraction] = set(grid)
     zero, one = Fraction(0), Fraction(1)
-    for a, b, ends in _cell_ends(p, grid):
-        for ya, yb in ends:
-            _add_crossing(crit, a, b, ya, yb, zero, zero)
-            _add_crossing(crit, a, b, ya, yb, one, one)
-        for (ya, yb), (ta, tb) in itertools.combinations(ends, 2):
+    crit = {one}
+    for a, b, ends in _cell_ends(p):
+        crit.add(a)
+        # Every set against 0, against 1 (constant sets) and against every other set.
+        for (ya, yb), (ta, tb) in itertools.combinations([(zero, zero), (one, one), *ends], 2):
             _add_crossing(crit, a, b, ya, yb, ta, tb)
     return tuple(sorted(crit))
 
@@ -266,15 +243,13 @@ def check_ruspini_exact(p: Partition) -> bool:
     """Whether the membership values sum to exactly 1 at every point.
 
     The sum is piecewise linear, so it is 1 everywhere iff it is 1 at each
-    breakpoint abscissa and at each left limit (both sides of every jump).
+    breakpoint abscissa and at each left limit (both sides of every jump):
+    at both ends of every cell, and at x = 1, where the last points apply.
     """
-    xs = sorted({x for f in p.sets for x in f.breakpoints()})
-    for x in xs:
-        if sum(f.value_at(x) for f in p.sets) != 1:
+    for _, _, ends in _cell_ends(p):
+        if sum(ya for ya, _ in ends) != 1 or sum(yb for _, yb in ends) != 1:
             return False
-        if x > 0 and sum(f.left_limit(x) for f in p.sets) != 1:
-            return False
-    return True
+    return sum(f.points[-1][1] for f in p.sets) == 1
 
 
 def check_2_overlapping(p: Partition) -> bool:

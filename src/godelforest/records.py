@@ -1,16 +1,24 @@
-"""The frozen record base of every value type, and `_shown`; it imports nothing of the package."""
+"""The frozen record base of every value type, `_shown` and `_printed`; no package imports."""
 
 import sys
 from operator import attrgetter
 from typing import Iterable
 
 
+def _printed(value: object) -> str:
+    """`str(value)`, or `<more than N digits>` where Python's int-to-str limit refuses it."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
+
+
 def _shown(value: object) -> str:
-    """`repr(value)`, or `<more than N digits>` for an int past Python's int-to-str limit."""
+    """`repr(value)`, or `<more than N digits>` as `_printed` gives it."""
     try:
         return repr(value)
     except ValueError:
-        return f"<more than {sys.get_int_max_str_digits()} digits>"
+        return _printed(value)
 
 
 class _Record:
@@ -37,9 +45,8 @@ class _Record:
         # Not a join over a generator: reprs nested in C calls print a quarter less deep.
         try:
             fields = [f"{k}={v!r}" for k, v in zip(self.__match_args__, self._values)]
-        except ValueError:  # an int field past the int-to-str limit
-            fields = [f"{k}={_shown(v) if type(v) is int else repr(v)}" for k, v in zip(
-                self.__match_args__, self._values)]
+        except ValueError:  # a field holding a number past the int-to-str limit
+            fields = [f"{k}={_shown(v)}" for k, v in zip(self.__match_args__, self._values)]
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __setattr__(self, name: str, value: object) -> None:

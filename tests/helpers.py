@@ -187,21 +187,47 @@ def random_exact_partition(rng: random.Random, n: int) -> Partition:
     ))
 
 
+def reference_left_limit(f: PiecewiseLinearFuzzySet, x) -> Fraction:
+    """Limit of f from the left at x > 0 (equals `value_at` away from
+    jumps), by a scan of f's points from the first."""
+    x = fr(x)
+    if not 0 < x <= 1:
+        raise ValueError(f"left limit needs an abscissa in (0, 1], got {x}")
+    for px, py in f.points:
+        if px == x:
+            return py
+        if px > x:
+            break
+    return f.value_at(x)
+
+
 def reference_critical_points(p: Partition) -> tuple[Fraction, ...]:
-    """`critical_points` read per cell: every set's `value_at(a)` and
-    `left_limit(b)` at each cell [a, b) of the merged breakpoints, each a
-    scan of the set's points from the first."""
+    """`critical_points` read per cell: every set's `value_at(a)` and left
+    limit at b at each cell [a, b) of the merged breakpoints, each a scan of
+    the set's points from the first."""
     grid = sorted({x for f in p.sets for x in f.breakpoints()})
     crit: set[Fraction] = set(grid)
     zero, one = Fraction(0), Fraction(1)
     for a, b in itertools.pairwise(grid):
-        ends = [(f.value_at(a), f.left_limit(b)) for f in p.sets]
+        ends = [(f.value_at(a), reference_left_limit(f, b)) for f in p.sets]
         for ya, yb in ends:
             _add_crossing(crit, a, b, ya, yb, zero, zero)
             _add_crossing(crit, a, b, ya, yb, one, one)
         for (ya, yb), (ta, tb) in itertools.combinations(ends, 2):
             _add_crossing(crit, a, b, ya, yb, ta, tb)
     return tuple(sorted(crit))
+
+
+def reference_check_ruspini_exact(p: Partition) -> bool:
+    """`check_ruspini_exact` read per breakpoint: the values sum to 1 at each
+    breakpoint abscissa and at each left limit, each a scan of every set."""
+    xs = sorted({x for f in p.sets for x in f.breakpoints()})
+    for x in xs:
+        if sum(f.value_at(x) for f in p.sets) != 1:
+            return False
+        if x > 0 and sum(reference_left_limit(f, x) for f in p.sets) != 1:
+            return False
+    return True
 
 
 def triangular_partition(k: int) -> Partition:

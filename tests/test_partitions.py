@@ -24,7 +24,8 @@ from godelforest import (
     realized_classes,
     two_overlap_subforest,
 )
-from helpers import (cls, fr, random_exact_partition, random_partition, reference_critical_points,
+from helpers import (cls, fr, random_exact_partition, random_partition,
+                     reference_check_ruspini_exact, reference_critical_points, reference_left_limit,
                      walked)
 
 
@@ -53,18 +54,18 @@ def test_value_at_jump_is_right_continuous():
     f = pl("f", ("0", "1"), ("1/2", "1"), ("1/2", "0"), ("1", "0"))
     assert f.value_at(fr("1/2")) == 0
     assert f.value_at(fr("499/1000")) == 1
-    assert f.left_limit(fr("1/2")) == 1
+    assert reference_left_limit(f, fr("1/2")) == 1
 
 
 def test_value_at_endpoints_and_jump_at_one():
     f = pl("f", ("0", "1"), ("1", "1"), ("1", "0"))
     assert f.value_at(0) == 1
     assert f.value_at(1) == 0
-    assert f.left_limit(1) == 1
+    assert reference_left_limit(f, 1) == 1
     with pytest.raises(ValueError):
         f.value_at(fr(2))
     with pytest.raises(ValueError):
-        f.left_limit(0)
+        reference_left_limit(f, 0)
 
 
 def test_set_validation_names_offender():
@@ -214,7 +215,7 @@ def test_realized_matches_dense_grid_oracle_on_samples():
         assert oracle == set(realized_classes(p))
 
 
-# Partitions whose cells the cursor must read as `value_at` and `left_limit` do.
+# Partitions whose cells the cursor must read as `value_at` and the left limit do.
 _CELL_CASES = [
     # jumps at 0 and at 1, shared by both sets
     Partition((pl("f1", ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")),
@@ -233,6 +234,11 @@ _CELL_CASES = [
     # constant and equal sets
     Partition((constant("f1", "1/2"), constant("f2", "1/2"), constant("f3", "0"),
                pl("f4", ("0", "0"), ("1", "1")), pl("f5", ("0", "0"), ("1", "1")))),
+    # sums 1 at every breakpoint's value, but 3/2 at the left limit at 1
+    Partition((pl("f1", ("0", "1"), ("1", "1"), ("1", "0")),
+               pl("f2", ("0", "0"), ("1", "1/2"), ("1", "1")))),
+    # sums 1 everywhere but at x = 1, where a jump leaves 1/2
+    Partition((pl("f1", ("0", "1"), ("1", "1"), ("1", "1/2")), constant("f2", "0"))),
 ]
 
 
@@ -262,20 +268,24 @@ def _edge_partition(rng, n):
 @pytest.mark.parametrize("build", [random_partition, random_exact_partition, _edge_partition])
 def test_critical_points_match_the_per_cell_reference(build):
     rng = random.Random(f"cells:{build.__name__}")
-    cases = [build(rng, n) for n in (1, 2, 3, 4) for _ in range(100)]
-    for p in cases + _CELL_CASES:
+    cases = [build(rng, n) for n in (1, 2, 3, 4) for _ in range(100)] + _CELL_CASES
+    for p in cases:
         assert critical_points(p) == reference_critical_points(p), p
+    verdicts = [reference_check_ruspini_exact(p) for p in cases]
+    assert [check_ruspini_exact(p) for p in cases] == verdicts
+    assert set(verdicts) == {False, True}
 
 
 def test_critical_points_scan_no_set_per_cell(monkeypatch):
     expected = [reference_critical_points(p) for p in _CELL_CASES]
+    verdicts = [reference_check_ruspini_exact(p) for p in _CELL_CASES]
 
     def scan(self, x):
         raise AssertionError("a set was scanned from its first point")
 
     monkeypatch.setattr(PiecewiseLinearFuzzySet, "value_at", scan)
-    monkeypatch.setattr(PiecewiseLinearFuzzySet, "left_limit", scan)
     assert [critical_points(p) for p in _CELL_CASES] == expected
+    assert [check_ruspini_exact(p) for p in _CELL_CASES] == verdicts
 
 
 def test_check_ruspini_exact(complementary_pair):

@@ -16,9 +16,12 @@ from godelforest import (
     Logic,
     Not,
     Or,
+    Partition,
+    PiecewiseLinearFuzzySet,
     Top,
     Var,
     axiomatize_partition,
+    class_of_values,
     count_2overlap_weak_ruspini,
     count_leaves,
     count_weak_ruspini,
@@ -35,6 +38,7 @@ from godelforest import (
     parse_formula,
     parse_logic,
     partition_from_json,
+    partition_to_json,
     proves_equiv,
     proves_implies,
     overlap_axiom,
@@ -177,6 +181,7 @@ def test_a_t_past_the_int_to_str_limit_gets_the_packages_own_messages(int_str_li
 
 _F2 = enumerate_forest(2)
 _ONE_SET = [{"points": [["0", "1"], ["1", "1"]]}]
+_PL = PiecewiseLinearFuzzySet
 
 # Each call that echoes an int k: a name, the call, the sign of k it is
 # refused for, and its text with k's digits at {}: a refusal's message, or a
@@ -224,6 +229,24 @@ INT_ECHOES = [
      ("variable index {} is too long to print", "X{}")),
     ("str", lambda k: str(And(Var(1), Not(Var(k)))), 1,
      ("variable index {} is too long to print", "X1 & ~X{}")),
+    ("repr-PiecewiseLinearFuzzySet", lambda k: repr(_PL("f", ((0, Fraction(1, k)), (1, 0)))), 1,
+     ("PiecewiseLinearFuzzySet(name='f', points={})",
+      "PiecewiseLinearFuzzySet(name='f', points=((Fraction(0, 1), Fraction(1, {})), "
+      "(Fraction(1, 1), Fraction(0, 1))))")),
+    ("partition_to_json", lambda k: partition_to_json(Partition(
+        (_PL("f1", ((0, 1), (1, 1))), _PL("f2", ((0, 0), (1, Fraction(1, k))))))
+    )["sets"][1]["points"][1][1], 1,
+     ("set 'f2', point 1: denominator of 5001 digits is past the limit of 4300 digits", "1/{}")),
+    ("PiecewiseLinearFuzzySet-abscissa", lambda k: _PL("g", ((0, 0), (k, 1))), 1,
+     "set 'g', point 1: abscissa {} outside [0, 1]"),
+    ("PiecewiseLinearFuzzySet-value", lambda k: _PL("g", ((0, k), (1, 0))), -1,
+     "set 'g', point 0: value {} outside [0, 1]"),
+    ("PiecewiseLinearFuzzySet-thrice",
+     lambda k: _PL("g", ((0, 0), ((x := Fraction(1, k)), 0), (x, 1), (x, 1), (1, 1))), 1,
+     ("set 'g', point 1: abscissa {} appears more than twice",
+      "set 'g', point 1: abscissa 1/{} appears more than twice")),
+    ("value_at", lambda k: _PL("f", ((0, 1), (1, 1))).value_at(k), 1, "abscissa {} outside [0, 1]"),
+    ("class_of_values", lambda k: class_of_values([0, k]), 1, "value for X2 is outside [0, 1]: {}"),
 ]
 
 
