@@ -11,17 +11,17 @@ Boolean classes, and its downward-closed subsets carry a Goedel algebra.
 Everything here works on classes alone and builds no forest: a partition's
 classes, their maxima and the Ruspini-leaf test need nothing of `forest`,
 which imports this module only where it ranks classes or builds them.
-The exact-rational reader `as_fraction` lives here too; only `records` is imported.
+The exact-rational reader `as_fraction` lives here too.  Only `records` is
+imported; it words the refusal of a text past Python's int-to-str limit.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .records import _Record, _printed, _shown
+from .records import _Record, _past_the_limit, _printed, _shown
 
 RationalLike = Union[Fraction, int, str]
 
@@ -34,7 +34,7 @@ _RATIONAL_TEXT = re.compile(r"\s*[-+]?\d+(?:/\d+)?\s*")
 def as_fraction(value: RationalLike) -> Fraction:
     """Exact rational from an int, Fraction, or a "p/q" / integer string
     (optionally signed, surrounding whitespace allowed).  A text part with
-    more digits than `sys.get_int_max_str_digits()` is refused unread."""
+    more digits than Python's int-to-str limit is refused unread."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):  # JSON true is not 1
@@ -42,7 +42,8 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str) and _RATIONAL_TEXT.fullmatch(value):
         if len(value) > 640:  # int() converts 640 digits under any limit Python allows
             num, _, den = value.strip().lstrip("+-").partition("/")
-            refusal = _past_the_limit(len(num), len(den))
+            refusal = _past_the_limit(("numerator" if den else "integer", len(num)),
+                                      ("denominator", len(den)))
             if refusal:
                 raise ValueError(refusal)
         try:
@@ -50,24 +51,6 @@ def as_fraction(value: RationalLike) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"not an exact rational: {value!r}")
-
-
-def _digits(n: int) -> int:
-    """The decimal digits of n >= 0 (none for 0), counted without converting n to text."""
-    d = n.bit_length() * 1233 >> 12  # 1233 / 4096 < log10(2): at most the count
-    while n >= 10**d:
-        d += 1
-    return d
-
-
-def _past_the_limit(num: int, den: int) -> Optional[str]:
-    """`as_fraction`'s refusal of a numerator of `num` digits or a denominator
-    of `den` (0 for an integer) past Python's int-to-str limit, or None."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    for part, digits in (("numerator" if den else "integer", num), ("denominator", den)):
-        if 0 < limit < digits:
-            return f"{part} of {digits} digits is past the limit of {limit} digits"
-    return None
 
 
 class AssignmentClass(_Record):

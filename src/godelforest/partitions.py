@@ -21,9 +21,9 @@ import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .classes import (AssignmentClass, RationalLike, _digits, _maximal, _past_the_limit,
-                      as_fraction, class_of_values, is_ruspini_leaf)
-from .records import _Record, _printed, _shown
+from .classes import (AssignmentClass, RationalLike, _maximal, as_fraction, class_of_values,
+                      is_ruspini_leaf)
+from .records import _Record, _digits, _past_the_limit, _printed, _shown
 
 if TYPE_CHECKING:
     from .forest import Subforest
@@ -63,10 +63,6 @@ class PiecewiseLinearFuzzySet(_Record):
             if x == pts[k][0]:
                 raise ValueError(f"set {self.name!r}, point {k}: abscissa {_printed(x)} "
                                  "appears more than twice")
-
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        """Distinct abscissae, ascending."""
-        return tuple(sorted({x for x, _ in self.points}))
 
     def value_at(self, x: RationalLike) -> Fraction:
         """Function value at x; at a jump the right-hand value applies
@@ -165,7 +161,8 @@ def partition_to_json(p: Partition) -> dict:
             points = [[str(x), str(y)] for x, y in f.points]
         except ValueError:  # Python's refusal: name the point and the part
             k, refusal = next((k, r) for k, pair in enumerate(f.points) for x in pair if (
-                r := _past_the_limit(_digits(x.numerator), _digits(x.denominator))))
+                r := _past_the_limit(("numerator", _digits(x.numerator)),
+                                     ("denominator", _digits(x.denominator)))))
             raise ValueError(f"set {f.name!r}, point {k}: {refusal}") from None
         sets.append({"name": f.name, "points": points})
     return {"n": p.n, "sets": sets}

@@ -1,8 +1,32 @@
-"""The frozen record base of every value type, `_shown` and `_printed`; no package imports."""
+"""The frozen record base of every value type, and the one home of numbers past
+Python's int-to-str limit: `_shown` and `_printed` print them, `_digits` counts
+their digits, `_past_the_limit` words their refusal.  No package imports."""
 
 import sys
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Optional
+
+
+def _limit() -> int:
+    """Python's int-to-str digit limit; 0 (none) before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _digits(n: int) -> int:
+    """The decimal digits of n >= 0 (none for 0), counted without converting n to text."""
+    d = n.bit_length() * 1233 >> 12  # 1233 / 4096 < log10(2): at most the count
+    while n >= 10**d:
+        d += 1
+    return d
+
+
+def _past_the_limit(*parts: tuple[str, int]) -> Optional[str]:
+    """The refusal of the first (part, digit count) past the int-to-str limit, or None."""
+    limit = _limit()
+    for part, digits in parts:
+        if 0 < limit < digits:
+            return f"{part} of {digits} digits is past the limit of {limit} digits"
+    return None
 
 
 def _printed(value: object) -> str:
@@ -10,7 +34,7 @@ def _printed(value: object) -> str:
     try:
         return str(value)
     except ValueError:
-        return f"<more than {sys.get_int_max_str_digits()} digits>"
+        return f"<more than {_limit()} digits>"
 
 
 def _shown(value: object) -> str:

@@ -12,18 +12,17 @@ and <| are `run`'s, shared by both and checked against a node-by-node
 reference evaluator in the tests.
 
 A t too long for Python's int-to-str conversion (more than
-`sys.get_int_max_str_digits()` digits, 4300 by default) gets this module's
-own messages: `parse_logic` and `str(Logic(t))` refuse it, and the other
-refusals print it with `records._shown`, as the whole package does.
+`sys.get_int_max_str_digits()` digits, 4300 by default) gets `records`'
+lines: `parse_logic` and `str(Logic(t))` refuse it with `_past_the_limit`'s
+sentence, and the other refusals print it with `_shown`.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Optional
 
 from .forest import Forest, Subforest, enumerate_forest
-from .records import _Record, _shown
+from .records import _Record, _digits, _past_the_limit, _shown
 from .syntax import And, Formula, Iff, Implies, Or, eval_formula, program, run
 
 #: Assignments the grid oracle is willing to enumerate.
@@ -54,9 +53,7 @@ class Logic(_Record):
         try:
             return f"g{self.t}"
         except ValueError:  # past the int-to-str limit
-            raise ValueError(
-                f"truth-value count is past the limit of {sys.get_int_max_str_digits()} digits"
-            ) from None
+            raise ValueError(_past_the_limit(("truth-value count", _digits(self.t)))) from None
 
 
 GINF = Logic()
@@ -71,10 +68,7 @@ def parse_logic(text: str) -> Logic:
         try:
             t = int(name[1:])
         except ValueError:  # past the int-to-str limit
-            raise ValueError(
-                f"truth-value count of {len(name) - 1} digits is past the limit of "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
+            raise ValueError(_past_the_limit(("truth-value count", len(name) - 1))) from None
         return Logic(t)
     raise ValueError(f"unknown logic {text!r}; use 'ginf' or 'g<t>' such as 'g4'")
 

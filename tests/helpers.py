@@ -187,6 +187,11 @@ def random_exact_partition(rng: random.Random, n: int) -> Partition:
     ))
 
 
+def breakpoints(f: PiecewiseLinearFuzzySet) -> tuple[Fraction, ...]:
+    """Distinct abscissae of f, ascending."""
+    return tuple(sorted({x for x, _ in f.points}))
+
+
 def reference_left_limit(f: PiecewiseLinearFuzzySet, x) -> Fraction:
     """Limit of f from the left at x > 0 (equals `value_at` away from
     jumps), by a scan of f's points from the first."""
@@ -205,7 +210,7 @@ def reference_critical_points(p: Partition) -> tuple[Fraction, ...]:
     """`critical_points` read per cell: every set's `value_at(a)` and left
     limit at b at each cell [a, b) of the merged breakpoints, each a scan of
     the set's points from the first."""
-    grid = sorted({x for f in p.sets for x in f.breakpoints()})
+    grid = sorted({x for f in p.sets for x in breakpoints(f)})
     crit: set[Fraction] = set(grid)
     zero, one = Fraction(0), Fraction(1)
     for a, b in itertools.pairwise(grid):
@@ -221,7 +226,7 @@ def reference_critical_points(p: Partition) -> tuple[Fraction, ...]:
 def reference_check_ruspini_exact(p: Partition) -> bool:
     """`check_ruspini_exact` read per breakpoint: the values sum to 1 at each
     breakpoint abscissa and at each left limit, each a scan of every set."""
-    xs = sorted({x for f in p.sets for x in f.breakpoints()})
+    xs = sorted({x for f in p.sets for x in breakpoints(f)})
     for x in xs:
         if sum(f.value_at(x) for f in p.sets) != 1:
             return False

@@ -1,5 +1,5 @@
-"""The package's public names, its module order, and the modules each CLI
-subcommand loads."""
+"""The package's public names, its module order, the modules each CLI
+subcommand loads, and the one home of numbers past Python's int-to-str limit."""
 
 import ast
 import json
@@ -7,11 +7,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import godelforest
 import godelforest.semantics
+from godelforest import (Logic, Partition, PiecewiseLinearFuzzySet, as_fraction, parse_logic,
+                         partition_to_json)
 
 SRC = str(pathlib.Path(godelforest.__file__).resolve().parent.parent)
 
@@ -90,6 +93,48 @@ def test_every_module_imports_only_modules_below_it():
                            for target in targets
                            if LAYER_ORDER.index(target) >= LAYER_ORDER.index(name)]
     assert upward == []
+
+
+def test_only_records_and_the_count_printer_read_the_int_to_str_limit():
+    # `records` counts the digits of a number past the limit and words its
+    # refusal; `cli._cmd_count` lifts the limit to print a count, and
+    # `count` loads `counts` alone.
+    package = pathlib.Path(godelforest.__file__).parent
+    name = "get_int_max_str_digits"
+    readers = set()
+    for path in package.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if any(name in (getattr(node, "attr", None), getattr(node, "id", None),
+                            getattr(node, "value", None), getattr(node, "name", None))
+                   for node in ast.walk(stmt)):
+                readers.add(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
+    assert readers == {"records._limit", "cli._cmd_count"}
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+def test_a_part_past_the_int_to_str_limit_gets_the_one_sentence(int_str_limit, limit):
+    sys.set_int_max_str_digits(limit)
+    text, big = "1" * (limit + 1), 10**limit  # both limit + 1 digits
+    tiny = Partition((PiecewiseLinearFuzzySet("f1", ((0, 1), (1, Fraction(1, big)))),))
+    calls = [
+        (lambda: as_fraction(text), "integer"),
+        (lambda: as_fraction(f"{text}/3"), "numerator"),
+        (lambda: as_fraction(f"1/{text}"), "denominator"),
+        (lambda: partition_to_json(tiny), "set 'f1', point 1: denominator"),
+        (lambda: parse_logic(f"g{text}"), "truth-value count"),
+        (lambda: str(Logic(big)), "truth-value count"),
+    ]
+    sentence = f"of {limit + 1} digits is past the limit of {limit} digits"
+    for call, part in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{part} {sentence}"
+    # With no limit, each of them answers.
+    sys.set_int_max_str_digits(0)
+    answers = [int(text), Fraction(int(text), 3), Fraction(1, int(text)),
+               {"n": 1, "sets": [{"name": "f1", "points": [["0", "1"], ["1", f"1/{big}"]]}]},
+               Logic(int(text)), f"g{big}"]
+    assert [call() for call, _ in calls] == answers
 
 
 def test_unknown_names_raise_attribute_error():

@@ -158,7 +158,8 @@ def test_a_t_past_the_int_to_str_limit_gets_the_packages_own_messages(int_str_li
          "grid of <more than 4300 digits>**19 assignments exceeds the budget of 1000000"),
         (lambda: parse_logic("g" + "1" * 5000),
          "truth-value count of 5000 digits is past the limit of 4300 digits"),
-        (lambda: str(Logic(huge)), "truth-value count is past the limit of 4300 digits"),
+        (lambda: str(Logic(huge)),
+         "truth-value count of 5001 digits is past the limit of 4300 digits"),
         (lambda: Logic(-huge), "a finite-valued logic needs t >= 2, got <more than 4300 digits>"),
     ]
     for call, message in refusals:
