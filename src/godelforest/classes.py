@@ -161,10 +161,17 @@ def class_of_values(values: Sequence[RationalLike]) -> AssignmentClass:
     an exact rational as `as_fraction` reads it."""
     if len(values) == 0:
         raise ValueError("at least one value is required")
-    levels: dict[Fraction, list[int]] = {}  # the variables at each value
-    for i, v in enumerate([as_fraction(v) for v in values], start=1):
+    exact = [as_fraction(v) for v in values]
+    for i, v in enumerate(exact, start=1):
         if not 0 <= v <= 1:
             raise ValueError(f"value for X{i} is outside [0, 1]: {_printed(v)}")
+    return _class_of_levels(exact)
+
+
+def _class_of_levels(values: Sequence[Fraction]) -> AssignmentClass:
+    """`class_of_values` of exact values already known to lie in [0, 1]."""
+    levels: dict[Fraction, list[int]] = {}  # the variables at each value
+    for i, v in enumerate(values, start=1):
         levels.setdefault(v, []).append(i)
     # Each block lists its variables in increasing order, and no two share one.
     zero, one = tuple(levels.pop(0, ())), tuple(levels.pop(1, ()))

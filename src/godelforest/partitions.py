@@ -5,14 +5,15 @@ repeated abscissa encodes a jump, read right-continuously (at x = 1 the last
 value applies).  This keeps every question asked here exactly decidable: the
 classes realized by a family, the pointwise-sum-1 check, and the
 no-three-positive-overlap check all reduce to finitely many exact rational
-evaluations.  Rationals are read by `classes.as_fraction` (still bound here).
+evaluations.  Input is read (by `classes.as_fraction`, still bound here) and
+checked where it enters: a set's constructor, `value_at`, `class_of_values`.
 
 `_cell_ends` merges the breakpoints into one grid and reads every set's ends
 on each cell with one cursor per set, so it walks each set once; both
 `critical_points` and `check_ruspini_exact` read the cells from it.
-`value_at` scans a set from its first point on every call, and
-`realized_classes` samples through it at each critical point and cell
-midpoint, so that sampling stays quadratic in the breakpoints.
+`realized_classes` samples each critical point and cell midpoint through the
+unchecked cores `_at` and `classes._class_of_levels`; `_at` scans a set from
+its first point, so that sampling stays quadratic in the breakpoints.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterator
 
-from .classes import (AssignmentClass, RationalLike, _maximal, as_fraction, class_of_values,
+from .classes import (AssignmentClass, RationalLike, _class_of_levels, _maximal, as_fraction,
                       is_ruspini_leaf)
 from .records import _Record, _digits, _past_the_limit, _printed, _shown
 
@@ -70,6 +71,10 @@ class PiecewiseLinearFuzzySet(_Record):
         x = as_fraction(x)
         if not 0 <= x <= 1:
             raise ValueError(f"abscissa {_printed(x)} outside [0, 1]")
+        return self._at(x)
+
+    def _at(self, x: Fraction) -> Fraction:
+        """`value_at` of an x already read and known to lie in [0, 1]."""
         hit = None
         for px, py in self.points:
             if px == x:
@@ -168,17 +173,6 @@ def partition_to_json(p: Partition) -> dict:
     return {"n": p.n, "sets": sets}
 
 
-def _add_crossing(crit: set[Fraction], a: Fraction, b: Fraction,
-                  ya: Fraction, yb: Fraction, ta: Fraction, tb: Fraction) -> None:
-    # Solve ya + (yb-ya)s = ta + (tb-ta)s for s in the open cell (0, 1).
-    den = (yb - ya) - (tb - ta)
-    if den == 0:
-        return
-    s = (ta - ya) / den
-    if 0 < s < 1:
-        crit.add(a + s * (b - a))
-
-
 def _cell_ends(p: Partition) -> Iterator[tuple[Fraction, Fraction, list]]:
     """For each cell [a, b) of the merged breakpoints of all the sets: a, b,
     and every set's value at a (read right-continuously) with its left limit
@@ -203,15 +197,16 @@ def _cell_ends(p: Partition) -> Iterator[tuple[Fraction, Fraction, list]]:
 
 
 def critical_points(p: Partition) -> tuple[Fraction, ...]:
-    """All abscissae where the realized class can change: breakpoints plus
-    every solution of f_i = f_j, f_i = 0, f_i = 1 inside a linear piece."""
-    zero, one = Fraction(0), Fraction(1)
-    crit = {one}
+    """All abscissae where the realized class can change: breakpoints, and
+    where two sets cross inside a cell (their difference has strictly opposite
+    signs at its ends).  No set crosses 0 or 1 there: it is linear with ends in [0, 1]."""
+    crit = {Fraction(1)}
     for a, b, ends in _cell_ends(p):
         crit.add(a)
-        # Every set against 0, against 1 (constant sets) and against every other set.
-        for (ya, yb), (ta, tb) in itertools.combinations([(zero, zero), (one, one), *ends], 2):
-            _add_crossing(crit, a, b, ya, yb, ta, tb)
+        for (ya, yb), (ta, tb) in itertools.combinations(ends, 2):
+            if ya < ta and yb > tb or ya > ta and yb < tb:
+                da, db = ya - ta, yb - tb
+                crit.add(a + da / (da - db) * (b - a))
     return tuple(sorted(crit))
 
 
@@ -220,12 +215,10 @@ def realized_classes(p: Partition) -> frozenset[AssignmentClass]:
 
     Between consecutive critical points every set is linear and crosses
     neither 0, 1, nor another set, so the class is constant there; sampling
-    each critical point plus each cell midpoint is exhaustive.
-    """
+    each critical point plus each cell midpoint is exhaustive."""
     pts = critical_points(p)
-    samples = list(pts)
-    samples.extend((a + b) / 2 for a, b in itertools.pairwise(pts))
-    return frozenset(class_of_values(p.values_at(x)) for x in samples)
+    samples = [*pts, *((a + b) / 2 for a, b in itertools.pairwise(pts))]
+    return frozenset(_class_of_levels([f._at(x) for f in p.sets]) for x in samples)
 
 
 def partition_forest(p: Partition) -> Subforest:

@@ -52,7 +52,6 @@ from godelforest import (
     ruspini_subforest,
 )
 from godelforest.classes import _class
-from godelforest.partitions import _add_crossing
 
 
 def fr(v) -> Fraction:
@@ -206,10 +205,22 @@ def reference_left_limit(f: PiecewiseLinearFuzzySet, x) -> Fraction:
     return f.value_at(x)
 
 
+def _add_crossing(crit: set[Fraction], a: Fraction, b: Fraction,
+                  ya: Fraction, yb: Fraction, ta: Fraction, tb: Fraction) -> None:
+    # Solve ya + (yb-ya)s = ta + (tb-ta)s for s in the open cell (0, 1).
+    den = (yb - ya) - (tb - ta)
+    if den == 0:
+        return
+    s = (ta - ya) / den
+    if 0 < s < 1:
+        crit.add(a + s * (b - a))
+
+
 def reference_critical_points(p: Partition) -> tuple[Fraction, ...]:
     """`critical_points` read per cell: every set's `value_at(a)` and left
     limit at b at each cell [a, b) of the merged breakpoints, each a scan of
-    the set's points from the first."""
+    the set's points from the first.  Every set is intersected with 0, with 1
+    and with every other set on every cell."""
     grid = sorted({x for f in p.sets for x in breakpoints(f)})
     crit: set[Fraction] = set(grid)
     zero, one = Fraction(0), Fraction(1)

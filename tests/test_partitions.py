@@ -239,6 +239,23 @@ _CELL_CASES = [
                pl("f2", ("0", "0"), ("1", "1/2"), ("1", "1")))),
     # sums 1 everywhere but at x = 1, where a jump leaves 1/2
     Partition((pl("f1", ("0", "1"), ("1", "1"), ("1", "1/2")), constant("f2", "0"))),
+    # a difference of zero at a cell's start
+    Partition((pl("f1", ("0", "1/4"), ("1", "1")), pl("f2", ("0", "1/4"), ("1", "0")))),
+    # a difference of zero at a cell's end: equal left limits at 1/2, then a jump apart
+    Partition((pl("f1", ("0", "0"), ("1/2", "1/2"), ("1/2", "1"), ("1", "1")),
+               pl("f2", ("0", "1"), ("1/2", "1/2"), ("1/2", "0"), ("1", "0")))),
+    # two sets equal over the whole cell [1/3, 2/3)
+    Partition((pl("f1", ("0", "0"), ("1/3", "1/2"), ("2/3", "1/2"), ("1", "1")),
+               pl("f2", ("0", "1"), ("1/3", "1/2"), ("2/3", "1/2"), ("1", "0")))),
+    # a set at 0 over the cell [1/2, 1), which another set crosses
+    Partition((pl("f1", ("0", "1"), ("1/2", "0"), ("1", "0")),
+               pl("f2", ("0", "0"), ("1/2", "1"), ("1", "1/2")),
+               pl("f3", ("0", "1/3"), ("1", "1/3")))),
+    # a set at 1 over the cell [0, 1/2), and a crossing at 2/3 after it
+    Partition((pl("f1", ("0", "1"), ("1/2", "1"), ("1", "0")), pl("f2", ("0", "0"), ("1", "1")))),
+    # a crossing exactly at the midpoint 1/2 of the cell [1/4, 3/4)
+    Partition((pl("f1", ("0", "0"), ("1/4", "0"), ("3/4", "1"), ("1", "1")),
+               pl("f2", ("0", "1"), ("1", "0")))),
 ]
 
 
@@ -286,6 +303,28 @@ def test_critical_points_scan_no_set_per_cell(monkeypatch):
     monkeypatch.setattr(PiecewiseLinearFuzzySet, "value_at", scan)
     assert [critical_points(p) for p in _CELL_CASES] == expected
     assert [check_ruspini_exact(p) for p in _CELL_CASES] == verdicts
+
+
+def test_sampling_revalidates_nothing(monkeypatch):
+    """Once a partition is built, its sampling reads and checks no input again."""
+    from godelforest import analyze, axiomatize_partition, classes, partitions
+
+    rng = random.Random("revalidate")
+    cases = _CELL_CASES + [build(rng, n) for build in (random_partition, _edge_partition)
+                           for n in (1, 2, 3) for _ in range(5)]
+    queries = (realized_classes, check_2_overlapping, is_weak_ruspini, axiomatize_partition,
+               analyze)
+    expected = [[query(p) for p in cases] for query in queries]
+
+    def refuse(*args):
+        raise AssertionError("input read or checked again")
+
+    for module in (classes, partitions):
+        for name in ("as_fraction", "class_of_values"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(PiecewiseLinearFuzzySet, "value_at", refuse)
+    assert [[query(p) for p in cases] for query in queries] == expected
 
 
 def test_check_ruspini_exact(complementary_pair):
